@@ -21,11 +21,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FunctorialityViolation, NontrivialPi0
-from .matrices import IntMatrix, RatMatrix, compound, rank
+from .matrices import (
+    IntMatrix,
+    RatMatrix,
+    SparseMatrix,
+    _subset_index,
+    exterior_powers,
+    rank,
+    rank_mod_p,
+)
 from .rootdata import (
     RootDatum,
     all_levi_subsets,
@@ -80,9 +87,12 @@ class CenterDiagram:
     inside Pi ordered by inclusion.
 
     `spaces` maps each proper subset (sorted tuple) to (dimension, cocharacter
-    basis); `arrows` maps each nested pair (S, S') to the projection matrix in
-    those bases. Arrow composition is exact: arrow(S', S'') . arrow(S, S') ==
-    arrow(S, S'').
+    basis). `arrows` holds exactly the arrows the Cech complex reads: the
+    identity arrow (S, S) of every proper S and the covering arrow
+    (S, S + {a}) whenever S + {a} is proper, each the projection matrix in
+    the two bases. `arrow(S, S')` returns the arrow of any nested pair,
+    computing the longer ones on demand through `killing_projection`. Arrow
+    composition is exact: arrow(S', S'') . arrow(S, S') == arrow(S, S'').
     """
 
     datum: RootDatum
@@ -90,11 +100,13 @@ class CenterDiagram:
     arrows: dict[tuple[tuple[int, ...], tuple[int, ...]], RatMatrix]
 
     def arrow(self, s: tuple[int, ...], sp: tuple[int, ...]) -> RatMatrix:
-        return self.arrows[(s, sp)]
+        m = self.arrows.get((s, sp))
+        return killing_projection(self.datum, s, sp) if m is None else m
 
 
 def build_center_diagram(d: RootDatum) -> CenterDiagram:
-    """Populate all spaces and arrows; verify functoriality on covering squares.
+    """Populate all spaces, the identity and the covering arrows; verify
+    functoriality on covering squares.
 
     Checking the generating triangles S -> S + {a} -> S + {a, b} against the
     long arrow S -> S + {a, b} pins down every composite, since any inclusion
@@ -107,11 +119,13 @@ def build_center_diagram(d: RootDatum) -> CenterDiagram:
         c = center_of_levi(d, s)
         spaces[s] = (c.dim, c.cochar_basis)
     arrows: dict[tuple[tuple[int, ...], tuple[int, ...]], RatMatrix] = {}
-    for sp in subsets:
-        sp_set = set(sp)
-        for s in subsets:
-            if set(s) <= sp_set:
-                arrows[(s, sp)] = killing_projection(d, s, sp)
+    for s in subsets:
+        arrows[(s, s)] = killing_projection(d, s, s)
+        if len(s) + 1 < n:
+            for a in range(1, n + 1):
+                if a not in s:
+                    sp = tuple(sorted(s + (a,)))
+                    arrows[(s, sp)] = killing_projection(d, s, sp)
     diagram = CenterDiagram(d, spaces, arrows)
     _check_covering_squares(diagram, n)
     return diagram
@@ -140,13 +154,13 @@ class CechRow:
 
     `blocks[p]` lists the nonempty index sets A with |A| = p + 1 in
     lexicographic order, `dims[p]` is the total dimension of term_p, and
-    `diffs[p]` (for p >= 1) is the differential term_p -> term_(p-1).
+    `diffs[p]` (for p >= 1) is the sparse differential term_p -> term_(p-1).
     """
 
     w: int
     blocks: list[list[tuple[int, ...]]]
     dims: list[int]
-    diffs: dict[int, RatMatrix]
+    diffs: dict[int, SparseMatrix]
 
 
 @dataclass
@@ -158,7 +172,12 @@ class CechComplex:
 
 
 def build_cech_complex(diagram: CenterDiagram) -> CechComplex:
-    """Assemble the block differentials for every exterior degree; check d.d = 0."""
+    """Assemble the block differentials for every exterior degree; check d.d = 0.
+
+    Every block is a compound of a covering arrow. Each arrow's minors come
+    from one `exterior_powers` stream, advanced one size per exterior degree,
+    so every minor is computed once, in integers.
+    """
     n = diagram.datum.rank
     full = tuple(range(1, n + 1))
     blocks = [
@@ -167,14 +186,18 @@ def build_cech_complex(diagram: CenterDiagram) -> CechComplex:
     index_of = [
         {a: i for i, a in enumerate(level)} for level in blocks
     ]
+    streams = {
+        key: exterior_powers(m) for key, m in diagram.arrows.items() if key[0] != key[1]
+    }
     rows: list[CechRow] = []
     for w in range(n + 1):
+        minors = {key: next(stream) for key, stream in streams.items()}
         width = [math.comb(p + 1, w) for p in range(n)]
         dims = [width[p] * len(blocks[p]) for p in range(n)]
-        diffs: dict[int, RatMatrix] = {}
+        diffs: dict[int, SparseMatrix] = {}
         for p in range(1, n):
             diffs[p] = _assemble_differential(
-                diagram, blocks, index_of, full, w, p, width, dims
+                minors, blocks, index_of, full, w, p, dims
             )
         row = CechRow(w, blocks, dims, diffs)
         _check_square_zero(row, n)
@@ -182,43 +205,49 @@ def build_cech_complex(diagram: CenterDiagram) -> CechComplex:
     return CechComplex(n, rows)
 
 
-def _assemble_differential(diagram, blocks, index_of, full, w, p, width, dims):
-    nrows, ncols = dims[p - 1], dims[p]
-    ent = [Fraction(0)] * (nrows * ncols)
-    hi, lo = width[p], width[p - 1]
+def _assemble_differential(minors, blocks, index_of, full, w, p, dims):
     full_set = set(full)
+    # block coordinates: w-subsets of the target (p of them) and source
+    # (p + 1) cocharacter bases, lexicographic
+    lo_index, hi_index = _subset_index(p, w), _subset_index(p + 1, w)
+    lo, hi = len(lo_index), len(hi_index)
+    # faces[t] lists (arrow key, column offset, sign) of the blocks in the
+    # rows of target t; those rows share the lcm of the arrows' denominators
+    faces: list[list] = [[] for _ in blocks[p - 1]]
     for ci, a in enumerate(blocks[p]):
         s = tuple(sorted(full_set - set(a)))
-        col0 = ci * hi
         for pos, elt in enumerate(a):
             target = tuple(x for x in a if x != elt)
             sp = tuple(sorted(full_set - set(target)))
-            block = compound(diagram.arrow(s, sp), w)
-            sign = -1 if pos % 2 else 1
-            row0 = index_of[p - 1][target] * lo
-            for i in range(block.rows):
-                base = (row0 + i) * ncols + col0
-                brow = block.row(i)
-                for j in range(block.cols):
-                    if brow[j]:
-                        ent[base + j] = sign * brow[j]
-    return RatMatrix(nrows, ncols, tuple(ent))
+            faces[index_of[p - 1][target]].append(((s, sp), ci * hi, -1 if pos % 2 else 1))
+    num: list[dict[int, int]] = []
+    den: list[int] = []
+    for incoming in faces:
+        row_den = math.lcm(*(minors[key][0] for key, _, _ in incoming))
+        block_rows: list[dict[int, int]] = [{} for _ in range(lo)]
+        for key, col0, sign in incoming:
+            arrow_den, arrow_minors = minors[key]
+            f = sign * (row_den // arrow_den)
+            for (rsub, csub), v in arrow_minors.items():
+                block_rows[lo_index[rsub]][col0 + hi_index[csub]] = f * v
+        num.extend(block_rows)
+        den.extend([row_den] * lo)
+    return SparseMatrix(dims[p - 1], dims[p], tuple(num), tuple(den))
 
 
 def _check_square_zero(row: CechRow, n: int) -> None:
     for p in range(2, n):
         d_hi = row.diffs[p]
         d_lo = row.diffs[p - 1]
-        if d_hi.rows and d_hi.cols and d_lo.rows:
-            if not d_lo.mul(d_hi).is_zero():
-                raise FunctorialityViolation(
-                    f"d.d != 0 in exterior degree {row.w} at level {p}"
-                )
+        if not d_lo.mul(d_hi).is_zero():
+            raise FunctorialityViolation(
+                f"d.d != 0 in exterior degree {row.w} at level {p}"
+            )
 
 
-def _row_homology(row: CechRow, n: int) -> dict[int, int]:
-    """Dimension of H_p for each Cech level p of one row."""
-    ranks = {p: rank(m) for p, m in row.diffs.items()}
+def _row_homology(row: CechRow, n: int, rank_of) -> dict[int, int]:
+    """Dimension of H_p for each Cech level p of one row, with ranks from `rank_of`."""
+    ranks = {p: rank_of(m) for p, m in row.diffs.items()}
     out: dict[int, int] = {}
     for p in range(n):
         h = row.dims[p] - ranks.get(p, 0) - ranks.get(p + 1, 0)
@@ -245,14 +274,56 @@ def boundary_homology(d: RootDatum) -> BettiTable:
     return _betti_from_complex(complex_)
 
 
+RANK_PRIME = 2**61 - 1
+
+MOD_P_CERTIFIED = "mod-p certified"
+EXACT_RATIONAL = "exact rational"
+
+
 def _betti_from_complex(complex_: CechComplex, row_order=None) -> BettiTable:
+    return _certified_betti(complex_, row_order)[0]
+
+
+def _certified_betti(complex_: CechComplex, row_order=None) -> tuple[BettiTable, str]:
+    """Exact Betti table of the complex and the certificate that proves it.
+
+    Ranks are first taken mod RANK_PRIME. The resulting table is exact when
+    it is the sphere S^(2n-1), by three facts:
+
+    (i) the F_p rank of an integer matrix is at most its rank over Q (and
+        clearing denominators row by row changes no rank), so every mod-p
+        homology dimension, hence every mod-p Betti number, bounds the exact
+        one from above;
+    (ii) the Euler characteristic is the alternating sum of the term
+        dimensions whatever the ranks, so both tables share it, and the
+        sphere's is 0;
+    (iii) b_0 >= 1 exactly: total degree 0 is only the w = 0, p = 0 term,
+        whose homology is computed here with an exact rank.
+
+    By (i) every exact b_m outside {0, 2n - 1} is 0 and b_0, b_(2n-1) <= 1;
+    by (iii) b_0 = 1; by (ii) b_(2n-1) = b_0 = 1. In every other case the
+    table is recomputed with exact rational ranks. The label returned is
+    MOD_P_CERTIFIED or EXACT_RATIONAL accordingly.
+    """
     n = complex_.n
-    betti = [0] * (2 * n)
     rows = complex_.rows if row_order is None else [complex_.rows[w] for w in row_order]
+    table = _betti_table(rows, n, lambda m: rank_mod_p(m, RANK_PRIME))
+    if table == BettiTable.sphere(2 * n - 1) and _exact_b0(complex_) >= 1:
+        return table, MOD_P_CERTIFIED
+    return _betti_table(rows, n, rank), EXACT_RATIONAL
+
+
+def _betti_table(rows: list[CechRow], n: int, rank_of) -> BettiTable:
+    betti = [0] * (2 * n)
     for row in rows:
-        for p, h in _row_homology(row, n).items():
+        for p, h in _row_homology(row, n, rank_of).items():
             betti[row.w + p] += h
     return BettiTable(tuple(betti))
+
+
+def _exact_b0(complex_: CechComplex) -> int:
+    row = complex_.rows[0]
+    return row.dims[0] - (rank(row.diffs[1]) if 1 in row.diffs else 0)
 
 
 def total_euler(complex_: CechComplex) -> int:

@@ -8,20 +8,24 @@ returns a new value, so everything here is safe to use concurrently.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "IntMatrix",
     "RatMatrix",
+    "SparseMatrix",
     "InvariantFactors",
     "SmithDecomposition",
     "snf",
     "rank",
+    "rank_mod_p",
     "compound",
+    "exterior_powers",
 ]
 
 
@@ -92,6 +96,37 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
+
+    def solve(self, rhs: IntMatrix) -> tuple[IntMatrix, int]:
+        """Exact solution X of self . X = rhs, as (N, den) with X = N / den.
+
+        Fraction-free (Bareiss) Gauss-Jordan on the augmented matrix: every
+        intermediate entry is a minor of it, so each division is exact, and
+        the left block ends as det . I. `den` is positive and shares no
+        factor with all of N. Raises ValueError when self is singular.
+        """
+        n = self.rows
+        if self.cols != n or rhs.rows != n:
+            raise ValueError("solve needs a square matrix and a matching right side")
+        a = [list(self.row(i)) + list(rhs.row(i)) for i in range(n)]
+        prev = 1
+        for c in range(n):
+            piv = next((i for i in range(c, n) if a[i][c]), None)
+            if piv is None:
+                raise ValueError("matrix is singular")
+            a[c], a[piv] = a[piv], a[c]
+            pr = a[c]
+            p = pr[c]
+            for i in range(n):
+                if i != c:
+                    e = a[i][c]
+                    a[i] = [(p * x - e * y) // prev for x, y in zip(a[i], pr)]
+            prev = p
+        num = [e for row in a for e in row[n:]]
+        g = math.gcd(prev, *num)
+        if prev < 0:
+            g = -g
+        return IntMatrix(n, rhs.cols, tuple(e // g for e in num)), prev // g
 
     def to_rational(self) -> RatMatrix:
         return RatMatrix(self.rows, self.cols, tuple(Fraction(e) for e in self.entries))
@@ -207,6 +242,94 @@ class RatMatrix:
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> RatMatrix:
         ent = tuple(self.at(i, j) for i in row_idx for j in col_idx)
         return RatMatrix(len(row_idx), len(col_idx), ent)
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """Immutable sparse rational matrix: integer rows over per-row denominators.
+
+    Row i holds the value ``num[i][j] / den[i]`` at each column j in
+    ``num[i]``; every other entry is zero. Rows are kept in lowest terms
+    (positive denominator, no factor shared by it and all the row's
+    numerators, no stored zeros), so equal matrices compare equal. The
+    numerator rows alone are the matrix with its denominators cleared row by
+    row, which scales each row by a nonzero rational and keeps the rank.
+    """
+
+    rows: int
+    cols: int
+    num: tuple[dict[int, int], ...]
+    den: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        if len(self.num) != self.rows or len(self.den) != self.rows:
+            raise ValueError(f"expected {self.rows} rows and denominators")
+        num, den = [], []
+        for row, d in zip(self.num, self.den):
+            if d == 0:
+                raise ValueError("row denominator must be nonzero")
+            if any(j < 0 or j >= self.cols for j in row):
+                raise ValueError("column index out of range")
+            row = {j: v for j, v in row.items() if v}
+            g = math.gcd(d, *row.values()) if row else abs(d)
+            if d < 0:
+                g = -g
+            num.append({j: v // g for j, v in row.items()})
+            den.append(d // g)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", tuple(den))
+
+    @classmethod
+    def from_rows(
+        cls, rows: Sequence[Sequence[Fraction | int]], cols: int | None = None
+    ) -> SparseMatrix:
+        dense = RatMatrix.from_rows(rows, cols)
+        num, den = [], []
+        for i in range(dense.rows):
+            row = dense.row(i)
+            d = math.lcm(*(e.denominator for e in row)) if row else 1
+            num.append({j: e.numerator * (d // e.denominator) for j, e in enumerate(row) if e})
+            den.append(d)
+        return cls(dense.rows, dense.cols, tuple(num), tuple(den))
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(e for i in range(self.rows) for e in self.row(i))
+
+    def row(self, i: int) -> tuple[Fraction, ...]:
+        out = [Fraction(0)] * self.cols
+        d = self.den[i]
+        for j, v in self.num[i].items():
+            out[j] = Fraction(v, d)
+        return tuple(out)
+
+    def to_lists(self) -> list[list[Fraction]]:
+        return [list(self.row(i)) for i in range(self.rows)]
+
+    def mul(self, other: SparseMatrix) -> SparseMatrix:
+        """Exact sparse product, computed in integers."""
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch in product")
+        # bring other's rows to one denominator m, then each product row
+        # is an integer combination of them over den[i] * m
+        m = math.lcm(*other.den) if other.den else 1
+        scale = [m // d for d in other.den]
+        num = []
+        for row in self.num:
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                f = a * scale[k]
+                for j, b in other.num[k].items():
+                    acc[j] = acc.get(j, 0) + f * b
+            num.append(acc)
+        return SparseMatrix(
+            self.rows, other.cols, tuple(num), tuple(d * m for d in self.den)
+        )
+
+    def is_zero(self) -> bool:
+        return not any(self.num)
 
 
 @dataclass(frozen=True)
@@ -344,8 +467,14 @@ def _nondivisible(a, nr, nc, t):
     return None
 
 
-def rank(m: RatMatrix | IntMatrix) -> int:
-    """Rank over the rationals, via fraction-free (Bareiss) elimination."""
+def rank(m: RatMatrix | IntMatrix | SparseMatrix) -> int:
+    """Rank over the rationals.
+
+    Dense input goes through fraction-free (Bareiss) elimination; a
+    SparseMatrix through sparse elimination on its numerator rows.
+    """
+    if isinstance(m, SparseMatrix):
+        return _sparse_rank(m.num, None)
     if isinstance(m, IntMatrix):
         a = m.to_lists()
     else:
@@ -356,6 +485,61 @@ def rank(m: RatMatrix | IntMatrix) -> int:
             den = math.lcm(*(e.denominator for e in row)) if row else 1
             a.append([int(e * den) for e in row])
     return _bareiss_rank(a, m.rows, m.cols)
+
+
+def rank_mod_p(m: SparseMatrix, p: int) -> int:
+    """Rank over F_p of m with its denominators cleared row by row (p prime).
+
+    Never exceeds rank(m): a minor that is nonzero mod p is a nonzero integer,
+    and clearing a row's denominator scales it by a nonzero rational. For a
+    fixed integer matrix the two ranks differ only when p divides every
+    maximal nonzero minor.
+    """
+    return _sparse_rank(m.num, p)
+
+
+def _sparse_rank(rows: Sequence[dict[int, int]], p: int | None) -> int:
+    """Rank of integer rows (column -> value) over Q when p is None, else F_p.
+
+    Each row is reduced against the pivot rows found so far, always at its
+    leftmost column, and becomes a new pivot row if anything is left. Rows
+    go sparsest first, which keeps the fill-in down.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        cur = dict(row) if p is None else {j: v % p for j, v in row.items() if v % p}
+        while cur:
+            c = min(cur)
+            piv = pivots.get(c)
+            if piv is None:
+                if p is not None:
+                    inv = pow(cur[c], -1, p)
+                    cur = {j: v * inv % p for j, v in cur.items()}
+                pivots[c] = cur
+                break
+            e = cur[c]
+            if p is None:
+                # pc * cur - e * piv clears column c; dividing out the
+                # content keeps the integers small
+                pc = piv[c]
+                new = {j: pc * v for j, v in cur.items()}
+                for j, v in piv.items():
+                    x = new.get(j, 0) - e * v
+                    if x:
+                        new[j] = x
+                    else:
+                        new.pop(j, None)
+                g = math.gcd(*new.values()) if new else 1
+                cur = {j: v // g for j, v in new.items()} if g > 1 else new
+            else:
+                # pivot rows are monic, so this clears column c
+                for j, v in piv.items():
+                    x = (cur.get(j, 0) - e * v) % p
+                    if x:
+                        cur[j] = x
+                    else:
+                        cur.pop(j, None)
+    return len(pivots)
 
 
 def _bareiss_rank(a: list[list[int]], nr: int, nc: int) -> int:
@@ -396,16 +580,54 @@ def compound(m: RatMatrix, k: int) -> RatMatrix:
     """
     if k < 0:
         raise ValueError("exterior degree must be nonnegative")
-    if k == 0:
-        return RatMatrix.identity(1)
-    row_subsets = list(itertools.combinations(range(m.rows), k))
-    col_subsets = list(itertools.combinations(range(m.cols), k))
-    ent = []
-    for idx_r in row_subsets:
-        for idx_c in col_subsets:
-            sub = [[m.at(i, j) for j in idx_c] for i in idx_r]
-            ent.append(_det_lists(sub, k))
-    return RatMatrix(len(row_subsets), len(col_subsets), tuple(ent))
+    den, minors = next(itertools.islice(exterior_powers(m), k, None))
+    row_index = _subset_index(m.rows, k)
+    col_index = _subset_index(m.cols, k)
+    ncols = len(col_index)
+    ent = [Fraction(0)] * (len(row_index) * ncols)
+    for (ri, ci), v in minors.items():
+        ent[row_index[ri] * ncols + col_index[ci]] = Fraction(v, den)
+    return RatMatrix(len(row_index), ncols, tuple(ent))
+
+
+def _subset_index(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Lexicographic position of each k-subset of range(n)."""
+    return {sub: i for i, sub in enumerate(itertools.combinations(range(n), k))}
+
+
+Minors = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
+
+
+def exterior_powers(m: RatMatrix) -> Iterator[tuple[int, Minors]]:
+    """All minors of m in integers, one size k = 0, 1, 2, ... per item.
+
+    With L the lcm of the denominators of m, item k is (L^k, minors), where
+    `minors` maps each pair (I, J) of sorted row and column index tuples of
+    size k whose minor is nonzero to L^k * det(m[I, J]), an integer. Each size
+    is built from the one before by Laplace expansion along the first row of
+    I, so one pass per size computes every minor of that size. Past the
+    smaller dimension the minors are empty; the iterator never ends.
+    """
+    lcm = math.lcm(*(e.denominator for e in m.entries)) if m.entries else 1
+    a = [
+        {j: e.numerator * (lcm // e.denominator) for j, e in enumerate(m.row(i)) if e}
+        for i in range(m.rows)
+    ]
+    den = 1
+    level: Minors = {((), ()): 1}
+    while True:
+        yield den, level
+        nxt: Minors = {}
+        for (ri, ci), v in level.items():
+            for i in range(ri[0] if ri else m.rows):
+                for j, e in a[i].items():
+                    pos = bisect.bisect_left(ci, j)
+                    if pos < len(ci) and ci[pos] == j:
+                        continue
+                    key = ((i,) + ri, ci[:pos] + (j,) + ci[pos:])
+                    nxt[key] = nxt.get(key, 0) + (-e * v if pos % 2 else e * v)
+        level = {key: v for key, v in nxt.items() if v}
+        den *= lcm
 
 
 def _det_lists(a: list[list[Fraction]], n: int) -> Fraction:

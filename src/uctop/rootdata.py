@@ -338,22 +338,40 @@ def _block_symmetrizer(a: list[list[int]], off: int, rk: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _dual_gram(d: RootDatum) -> RatMatrix:
-    """Gram matrix rewritten in the basis dual to the char-lattice rows."""
+def _dual_gram(d: RootDatum) -> IntMatrix:
+    """Gram matrix rewritten in the basis dual to the char-lattice rows.
+
+    Scaled by a positive integer to clear its denominators; orthogonal
+    projections do not see the scale.
+    """
     linv = _lattice_inverse(d)
     g = invariant_form(d).gram.to_rational()
-    return linv.transpose().mul(g).mul(linv)
+    m = linv.transpose().mul(g).mul(linv)
+    den = math.lcm(*(e.denominator for e in m.entries)) if m.entries else 1
+    return IntMatrix(m.rows, m.cols, tuple(_as_int(e * den) for e in m.entries))
+
+
+@lru_cache(maxsize=None)
+def _projector(d: RootDatum, sp: tuple[int, ...]) -> tuple[IntMatrix, int]:
+    """Orthogonal projection onto the cocharacter space of Z(L_{S'}).
+
+    Returns (N, den) with N / den = (B'^T G B')^(-1) B'^T G, where B' is the
+    cached cocharacter basis of S' and G the dual Gram matrix: the map from
+    cocharacter coordinates to coordinates in B'. It is one integer solve,
+    and every arrow into S' is this one matrix times an integer basis.
+    """
+    bp = center_of_levi(d, sp).cochar_basis
+    bp_t_g = bp.transpose().mul(_dual_gram(d))
+    return bp_t_g.mul(bp).solve(bp_t_g)
 
 
 @lru_cache(maxsize=None)
 def _killing_projection_cached(
     d: RootDatum, s: tuple[int, ...], sp: tuple[int, ...]
 ) -> RatMatrix:
-    b = center_of_levi(d, s).cochar_basis.to_rational()
-    bp = center_of_levi(d, sp).cochar_basis.to_rational()
-    gt = _dual_gram(d)
-    bp_t_g = bp.transpose().mul(gt)
-    return bp_t_g.mul(bp).inverse().mul(bp_t_g.mul(b))
+    num, den = _projector(d, sp)
+    m = num.mul(center_of_levi(d, s).cochar_basis)
+    return RatMatrix(m.rows, m.cols, tuple(Fraction(e, den) for e in m.entries))
 
 
 def killing_projection(

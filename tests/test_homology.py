@@ -7,17 +7,29 @@ from fractions import Fraction
 
 import pytest
 
-from uctop.errors import NontrivialPi0
+from uctop import homology
+from uctop.errors import FunctorialityViolation, NontrivialPi0
 from uctop.homology import (
+    EXACT_RATIONAL,
+    MOD_P_CERTIFIED,
     BettiTable,
     _betti_from_complex,
+    _certified_betti,
+    _check_square_zero,
     boundary_homology,
     build_cech_complex,
     build_center_diagram,
     total_euler,
 )
-from uctop.matrices import IntMatrix, RatMatrix, rank
-from uctop.rootdata import CartanType, build_datum, center_of_levi, invariant_form
+from uctop.matrices import IntMatrix, RatMatrix, SparseMatrix, rank, rank_mod_p
+from uctop.rootdata import (
+    CartanType,
+    all_levi_subsets,
+    build_datum,
+    center_of_levi,
+    invariant_form,
+    killing_projection,
+)
 
 from oracles import cramer_projection, leibniz_det, naive_rank
 
@@ -98,6 +110,25 @@ def test_diagram_functoriality_exact():
                 assert m23.mul(m12) == diag.arrow(s1, s3)
 
 
+def test_diagram_holds_identity_and_covering_arrows_only():
+    for t, iso in (
+        (ct(("A", 3)), "adjoint"),
+        (ct(("B", 3)), "sc"),
+        (ct(("A", 1), ("A", 2)), "adjoint"),
+    ):
+        d = build_datum(t, iso)
+        diag = build_center_diagram(d)
+        proper = all_levi_subsets(t.rank, proper=True)
+        nested = [(s, sp) for s in proper for sp in proper if set(s) <= set(sp)]
+        assert set(diag.arrows) == {
+            (s, sp) for s, sp in nested if len(sp) - len(s) <= 1
+        }, str(t)
+        for s, sp in nested:
+            assert diag.arrow(s, sp) == killing_projection(d, s, sp), (str(t), s, sp)
+        with pytest.raises(ValueError):
+            diag.arrow((1,), (2,))
+
+
 # ---------------------------------------------------------------------------
 # complex structure
 
@@ -144,6 +175,20 @@ def test_d_squared_zero_rank_le_5():
                     assert lo.mul(hi).is_zero(), (str(t), row.w, p)
 
 
+def test_square_zero_guard_names_degree_and_level():
+    d = build_datum(ct(("A", 4)), "adjoint")
+    cx = build_cech_complex(build_center_diagram(d))
+    row = cx.rows[2]
+    top = cx.n - 1  # only the check at the top level reads d_top
+    lists = row.diffs[top].to_lists()
+    i, j = next((i, j) for i, r in enumerate(lists) for j, e in enumerate(r) if e)
+    lists[i][j] += 1
+    _check_square_zero(row, cx.n)
+    row.diffs[top] = SparseMatrix.from_rows(lists, cols=row.diffs[top].cols)
+    with pytest.raises(FunctorialityViolation, match=r"exterior degree 2 at level 3$"):
+        _check_square_zero(row, cx.n)
+
+
 def test_total_euler_vanishes():
     for t, iso in SPHERE_SWEEP[:10]:
         d = build_datum(t, iso)
@@ -160,6 +205,47 @@ def test_boundary_homology_spheres():
         d = build_datum(t, iso)
         n = t.rank
         assert boundary_homology(d) == BettiTable.sphere(2 * n - 1), (str(t), iso)
+
+
+def _mod_p_table(cx, p):
+    betti = [0] * (2 * cx.n)
+    for row in cx.rows:
+        ranks = {q: rank_mod_p(m, p) for q, m in row.diffs.items()}
+        for q, dim in enumerate(row.dims):
+            betti[row.w + q] += dim - ranks.get(q, 0) - ranks.get(q + 1, 0)
+    return BettiTable(tuple(betti))
+
+
+def test_sphere_sweep_is_certified_mod_p():
+    for t, iso in SPHERE_SWEEP:
+        cx = build_cech_complex(build_center_diagram(build_datum(t, iso)))
+        table, how = _certified_betti(cx)
+        assert table == BettiTable.sphere(2 * t.rank - 1), (str(t), iso)
+        assert how == MOD_P_CERTIFIED, (str(t), iso)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_exact_fallback_when_mod_p_table_is_not_a_sphere(monkeypatch, prime):
+    monkeypatch.setattr(homology, "RANK_PRIME", prime)
+    boundary_homology.cache_clear()
+    try:
+        fallbacks = []
+        for t, iso in SPHERE_SWEEP:
+            d = build_datum(t, iso)
+            sphere = BettiTable.sphere(2 * t.rank - 1)
+            cx = build_cech_complex(build_center_diagram(d))
+            table, how = _certified_betti(cx)
+            assert table == sphere, (str(t), iso)
+            assert (how == EXACT_RATIONAL) == (_mod_p_table(cx, prime) != sphere), (str(t), iso)
+            if how == EXACT_RATIONAL:
+                fallbacks.append(f"{t}:{iso}")
+            assert boundary_homology(d) == sphere, (str(t), iso)
+        assert fallbacks, f"no table mod {prime} differed from the sphere"
+        with pytest.raises(NontrivialPi0) as err:
+            boundary_homology(build_datum(ct(("A", 3)), "sc"))
+        assert err.value.levi == (1, 3)
+    finally:
+        boundary_homology.cache_clear()
 
 
 def test_boundary_homology_examples():

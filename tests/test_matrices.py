@@ -10,7 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uctop.matrices import IntMatrix, InvariantFactors, RatMatrix, compound, rank, snf
+from uctop.homology import RANK_PRIME
+from uctop.matrices import (
+    IntMatrix,
+    InvariantFactors,
+    RatMatrix,
+    SparseMatrix,
+    compound,
+    rank,
+    rank_mod_p,
+    snf,
+)
 
 from oracles import (
     coset_invariant_factors,
@@ -181,6 +191,84 @@ def test_rank_plus_nullity():
         dec = snf(m)
         assert rank(m.to_rational()) + dec.kernel.cols == nc
         assert rank(m.to_rational()) == dec.rank
+
+
+def _random_sparse_rows(rng, nr, nc, density):
+    return [
+        [
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < density else 0
+            for _ in range(nc)
+        ]
+        for _ in range(nr)
+    ]
+
+
+def test_rank_mod_p_against_naive_elimination():
+    rng = random.Random(20261017)
+    drops = 0
+    for _ in range(300):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        rows = _random_sparse_rows(rng, nr, nc, rng.choice((0.2, 0.4, 0.7)))
+        m = SparseMatrix.from_rows(rows, cols=nc)
+        want = naive_rank(rows)
+        assert rank(m) == want, rows
+        assert rank_mod_p(m, RANK_PRIME) == want, rows
+        for p in (2, 3, 5):
+            got = rank_mod_p(m, p)
+            assert got <= want, (rows, p)
+            drops += got < want
+    assert RANK_PRIME == 2**61 - 1
+    assert drops, "no small prime ever lost rank; the bound went unexercised"
+
+
+# ---------------------------------------------------------------------------
+# sparse matrices and integer solves
+
+
+def test_sparse_matrix_agrees_with_dense():
+    rng = random.Random(29)
+    for _ in range(200):
+        a, b, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        f_rows = _random_sparse_rows(rng, b, a, 0.4)
+        g_rows = _random_sparse_rows(rng, c, b, 0.4)
+        f, g = SparseMatrix.from_rows(f_rows, cols=a), SparseMatrix.from_rows(g_rows, cols=b)
+        dense_f = RatMatrix.from_rows(f_rows, cols=a)
+        dense_gf = RatMatrix.from_rows(g_rows, cols=b).mul(dense_f)
+        assert f.entries == dense_f.entries
+        assert f.to_lists() == dense_f.to_lists()
+        gf = g.mul(f)
+        assert (gf.rows, gf.cols) == (c, a)
+        assert gf.entries == dense_gf.entries
+        assert gf.is_zero() == dense_gf.is_zero()
+        assert gf == SparseMatrix.from_rows(dense_gf.to_lists(), cols=a)
+        assert rank(gf) == rank(dense_gf)
+
+
+def test_sparse_matrix_rows_in_lowest_terms():
+    m = SparseMatrix(2, 3, ({0: 4, 2: -6}, {1: 0}), (-8, 5))
+    assert m.num == ({0: -2, 2: 3}, {})
+    assert m.den == (4, 1)
+    assert m.row(0) == (Fraction(-1, 2), Fraction(0), Fraction(3, 4))
+    with pytest.raises(ValueError):
+        SparseMatrix(1, 2, ({2: 1},), (1,))
+    with pytest.raises(ValueError):
+        SparseMatrix(1, 2, ({0: 1},), (0,))
+
+
+def test_int_solve_matches_rational_inverse():
+    rng = random.Random(31)
+    for _ in range(100):
+        n, k = rng.randint(1, 5), rng.randint(0, 4)
+        m = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+        if leibniz_det(m.to_lists()) == 0:
+            with pytest.raises(ValueError):
+                m.solve(IntMatrix.zero(n, k))
+            continue
+        rhs = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(k)] for _ in range(n)], cols=k)
+        num, den = m.solve(rhs)
+        assert den > 0
+        want = m.to_rational().inverse().mul(rhs.to_rational())
+        assert num.to_rational().entries == tuple(e * den for e in want.entries)
 
 
 # ---------------------------------------------------------------------------
