@@ -57,8 +57,12 @@ def universal_centralizer_homology(d: RootDatum) -> AssemblyReport:
     2n-cell per central element is then attached along a rank-one boundary
     map.
     """
+    return _attach_handles(d, boundary_homology(d))  # raises NontrivialPi0 when gated
+
+
+def _attach_handles(d: RootDatum, boundary: BettiTable) -> AssemblyReport:
+    """Glue the 2n-cells onto a boundary with Betti table `boundary`."""
     n = d.rank
-    boundary = boundary_homology(d)  # raises NontrivialPi0 when gated
     if boundary != BettiTable.sphere(2 * n - 1):
         raise ArithmeticError(
             "boundary homology is not the expected odd sphere; "

@@ -14,14 +14,12 @@ group).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .assembly import intersection_number, universal_centralizer_homology
+from .assembly import _attach_handles, universal_centralizer_homology
 from .counting import e_polynomial, point_count_poly, poincare_from_purity
 from .errors import GroupSpecError, NontrivialPi0
 from .homology import (
@@ -300,11 +298,27 @@ def _cmd_check(spec: GroupSpec, d: RootDatum, args) -> Report:
 
 
 def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
+    from . import oracles  # brute force; loaded only when the battery runs
+
     n = d.rank
     items: list[tuple[str, str, str]] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:
         items.append((name, "pass" if ok else "fail", detail))
+
+    def run(checks, skip: str = "") -> None:
+        """Record (name, predicate) entries; a predicate returns ok or (ok, detail).
+
+        With a `skip` reason, every entry is recorded as skipped for it and
+        no predicate runs.
+        """
+        for name, predicate in checks:
+            if skip:
+                items.append((name, "skip", skip))
+            else:
+                result = predicate()
+                ok, detail = result if isinstance(result, tuple) else (result, "")
+                add(name, ok, detail)
 
     subsets = all_levi_subsets(n)
     centers = {s: center_of_levi(d, s) for s in subsets}
@@ -348,21 +362,22 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     add(
         "smith factors match minor-gcd divisors on small Levi matrices",
         all(
-            _minor_gcd_factors(levi_root_matrix(d, s)) == (c.pi0.factors, len(s))
+            oracles.determinantal_divisor_data(levi_root_matrix(d, s).to_lists(), n)
+            == (c.pi0.factors, len(s))
             for s, c in centers.items()
             if len(s) <= 4
         ),
     )
-    if n <= 4:
-        add(
-            "weyl order matches reflection enumeration",
-            weyl_order(d.cartan_type)
-            == _reflection_closure_order(cartan_matrix(d.cartan_type)),
-        )
-    else:
-        items.append(
-            ("weyl order matches reflection enumeration", "skip", "rank > 4")
-        )
+    run(
+        [
+            (
+                "weyl order matches reflection enumeration",
+                lambda: weyl_order(d.cartan_type)
+                == oracles.reflection_group_order(cartan_matrix(d.cartan_type).to_lists()),
+            )
+        ],
+        skip="rank > 4" if n > 4 else "",
+    )
     gram = invariant_form(d).gram
     add("invariant form is symmetric", gram == gram.transpose())
     add(
@@ -409,55 +424,51 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         _check_substitution(epoly.coeffs, poincare.coeffs, n),
     )
 
+    # these read the complex, its Betti table and the assembly computed
+    # below, and run only when no proper Levi center is disconnected
+    sphere = (1,) + (0,) * (2 * n - 2) + (1,)
+    boundary_checks = [
+        # build_cech_complex raises unless d.d = 0 on every row
+        ("cech differentials square to zero", lambda: True),
+        ("total euler characteristic vanishes", lambda: total_euler(complex_) == 0),
+        (
+            "row order does not change the boundary betti table",
+            lambda: forward == _betti_from_complex(complex_, row_order=range(n, -1, -1)),
+        ),
+        (
+            "total betti bounded by total chain dimension",
+            lambda: forward.total() <= sum(sum(r.dims) for r in complex_.rows),
+        ),
+        (
+            "boundary homology is the odd sphere",
+            lambda: (forward.betti == sphere, f"betti {list(forward.betti)}"),
+        ),
+        (
+            "assembled euler characteristic equals E(1,1)",
+            lambda: report.betti.euler() == epoly.evaluate(1),
+        ),
+        ("assembled betti matches the purity prediction", lambda: report.purity_match),
+        (
+            "degree 2n-1 dies under handle attachment",
+            lambda: len(report.betti.betti) <= 2 * n - 1
+            or report.betti.betti[2 * n - 1] == 0,
+        ),
+        (
+            "intersection certificate is a positive integer",
+            lambda: report.intersection_number > 0
+            and report.intersection_number.denominator == 1,
+        ),
+    ]
     witness = proper_pi0_witness(d)
     if witness is None:
-        diagram = build_center_diagram(d)
-        complex_ = build_cech_complex(diagram)  # validates d.d = 0 as it builds
-        add("cech differentials square to zero", True)
-        add("total euler characteristic vanishes", total_euler(complex_) == 0)
+        complex_ = build_cech_complex(build_center_diagram(d))
         forward = _betti_from_complex(complex_)
-        backward = _betti_from_complex(complex_, row_order=range(n, -1, -1))
-        add("row order does not change the boundary betti table", forward == backward)
-        add(
-            "total betti bounded by total chain dimension",
-            forward.total() <= sum(sum(r.dims) for r in complex_.rows),
-        )
-        sphere = (1,) + (0,) * (2 * n - 2) + (1,)
-        add(
-            "boundary homology is the odd sphere",
-            forward.betti == sphere,
-            f"betti {list(forward.betti)}",
-        )
-        report = universal_centralizer_homology(d)
-        add(
-            "assembled euler characteristic equals E(1,1)",
-            report.betti.euler() == epoly.evaluate(1),
-        )
-        add("assembled betti matches the purity prediction", report.purity_match)
-        add(
-            "degree 2n-1 dies under handle attachment",
-            len(report.betti.betti) <= 2 * n - 1 or report.betti.betti[2 * n - 1] == 0,
-        )
-        add(
-            "intersection certificate is a positive integer",
-            report.intersection_number > 0
-            and report.intersection_number.denominator == 1,
-        )
+        report = _attach_handles(d, forward)
+        run(boundary_checks)
         add("refusal contract: no witness, assembly succeeded", True)
     else:
         detail = f"refused at S = {_levi_str(witness)}"
-        for name in (
-            "cech differentials square to zero",
-            "total euler characteristic vanishes",
-            "row order does not change the boundary betti table",
-            "total betti bounded by total chain dimension",
-            "boundary homology is the odd sphere",
-            "assembled euler characteristic equals E(1,1)",
-            "assembled betti matches the purity prediction",
-            "degree 2n-1 dies under handle attachment",
-            "intersection certificate is a positive integer",
-        ):
-            items.append((name, "skip", detail))
+        run(boundary_checks, skip=detail)
         refused = False
         try:
             universal_centralizer_homology(d)
@@ -469,69 +480,6 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
             detail,
         )
     return items
-
-
-def _leibniz_det(rows):
-    n = len(rows)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = sign
-        for i in range(n):
-            term *= rows[i][perm[i]]
-        total += term
-    return total
-
-
-def _minor_gcd_factors(m: IntMatrix):
-    """Invariant factors and rank from gcds of Leibniz-sum minors.
-
-    Deliberately independent of the elimination-based `snf`; only viable for
-    small row counts (the permutation sums grow factorially).
-    """
-    rows = m.to_lists()
-    divisors = [1]
-    for k in range(1, min(m.rows, m.cols) + 1):
-        g = 0
-        for ridx in itertools.combinations(range(m.rows), k):
-            for cidx in itertools.combinations(range(m.cols), k):
-                sub = [[rows[i][j] for j in cidx] for i in ridx]
-                g = math.gcd(g, _leibniz_det(sub))
-        divisors.append(g)
-    rk = max((k for k, g in enumerate(divisors) if g), default=0)
-    factors = tuple(
-        q for k in range(1, rk + 1) if (q := divisors[k] // divisors[k - 1]) >= 2
-    )
-    return factors, rk
-
-
-def _reflection_closure_order(cartan: IntMatrix) -> int:
-    """Order of the group generated by the simple reflections on weight space."""
-    n = cartan.rows
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    gens = []
-    for i in range(n):
-        rows = [list(r) for r in identity]
-        for j in range(n):
-            rows[i][j] -= cartan.at(i, j)
-        gens.append(tuple(tuple(r) for r in rows))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        g = frontier.pop()
-        for s in gens:
-            h = tuple(
-                tuple(sum(g[i][k] * s[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-            if h not in seen:
-                seen.add(h)
-                frontier.append(h)
-    return len(seen)
 
 
 def _check_functoriality(d: RootDatum, n: int) -> bool:

@@ -86,27 +86,10 @@ class QPolynomial:
 
 
 @dataclass(frozen=True)
-class TPolynomial:
+class TPolynomial(QPolynomial):
     """Integer polynomial in t (graded Betti data when produced by purity)."""
 
-    coeffs: tuple[int, ...]
     variable: str = "t"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x: int | Fraction):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        return format_poly(self.coeffs, self.variable)
 
 
 def point_count_poly(d: RootDatum) -> QPolynomial:

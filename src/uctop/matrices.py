@@ -468,23 +468,19 @@ def _nondivisible(a, nr, nc, t):
 
 
 def rank(m: RatMatrix | IntMatrix | SparseMatrix) -> int:
-    """Rank over the rationals.
+    """Rank over the rationals, by sparse elimination on integer rows.
 
-    Dense input goes through fraction-free (Bareiss) elimination; a
-    SparseMatrix through sparse elimination on its numerator rows.
+    A SparseMatrix goes in as its numerator rows; dense input has each
+    row's denominators cleared first, which scales the row and keeps the rank.
     """
     if isinstance(m, SparseMatrix):
         return _sparse_rank(m.num, None)
-    if isinstance(m, IntMatrix):
-        a = m.to_lists()
-    else:
-        # row scaling by the common denominator preserves rank
-        a = []
-        for i in range(m.rows):
-            row = m.row(i)
-            den = math.lcm(*(e.denominator for e in row)) if row else 1
-            a.append([int(e * den) for e in row])
-    return _bareiss_rank(a, m.rows, m.cols)
+    rows = []
+    for i in range(m.rows):
+        row = m.row(i)
+        den = math.lcm(*(e.denominator for e in row))
+        rows.append({j: e.numerator * (den // e.denominator) for j, e in enumerate(row) if e})
+    return _sparse_rank(rows, None)
 
 
 def rank_mod_p(m: SparseMatrix, p: int) -> int:
@@ -540,35 +536,6 @@ def _sparse_rank(rows: Sequence[dict[int, int]], p: int | None) -> int:
                     else:
                         cur.pop(j, None)
     return len(pivots)
-
-
-def _bareiss_rank(a: list[list[int]], nr: int, nc: int) -> int:
-    if nr == 0 or nc == 0:
-        return 0
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        for i in range(r + 1, nr):
-            e = a[i][c]
-            ai, ar = a[i], a[r]
-            if e:
-                for j in range(c + 1, nc):
-                    ai[j] = (p * ai[j] - e * ar[j]) // prev
-            elif prev != 1 or p != 1:
-                for j in range(c + 1, nc):
-                    ai[j] = (p * ai[j]) // prev
-            ai[c] = 0
-        prev = p
-        r += 1
-    return r
 
 
 def compound(m: RatMatrix, k: int) -> RatMatrix:

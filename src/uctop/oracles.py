@@ -1,10 +1,12 @@
-"""Independent brute-force oracles used across the test suite.
+"""Independent brute-force oracles, shared by the test suite and `check`.
 
 Everything here deliberately avoids the library's elimination code paths:
 determinants are Leibniz sums over permutations, invariant factors come from
 gcds of explicitly enumerated minors or from literal coset enumeration, ranks
-use plain fraction pivoting rather than fraction-free elimination, and Weyl
-group orders come from closing the set of simple reflections.
+use plain fraction pivoting rather than integer elimination, and Weyl
+group orders come from closing the set of simple reflections. The module
+imports only the standard library, never another `uctop` module, and the
+package does not import it at load time.
 """
 
 from __future__ import annotations
@@ -15,19 +17,20 @@ from fractions import Fraction
 
 
 def leibniz_det(rows):
-    """Determinant as the signed permutation sum."""
+    """Determinant as the signed permutation sum (1 for the empty matrix)."""
     n = len(rows)
-    if n == 0:
-        return 1
     total = 0
     for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        term = (-1) ** inversions
+        term = 1
         for i in range(n):
             term *= rows[i][perm[i]]
-        total += term
+            if not term:
+                break  # most permutations of a sparse matrix meet a zero
+        else:
+            inversions = sum(
+                1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+            )
+            total += -term if inversions % 2 else term
     return total
 
 

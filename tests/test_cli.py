@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,8 @@ from uctop.cli import main, parse_spec
 from uctop.errors import GroupSpecError
 from uctop.matrices import IntMatrix
 from uctop.rootdata import CartanType
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -267,6 +272,51 @@ def test_check_passes_on_whole_acceptance_matrix(capsys):
         code, out, _ = run_cli(capsys, "check", spec)
         assert code == 0, spec
         assert "0 failed" in out, spec
+
+
+def test_check_output_matches_benchmark_golden_bytes(capsys):
+    # the benchmark's golden file holds the exit code and stdout hash of
+    # each reference `check`; rank <= 5 keeps this short (27 specs), and a
+    # benchmark pass checks the larger ranks
+    golden = json.loads((ROOT / "bench" / "data" / "golden.json").read_text())
+    argvs = [key.split() for key in golden if key.startswith("check ")]
+    specs = [
+        argv[1]
+        for argv in argvs
+        if len(argv) == 2 and parse_spec(argv[1]).datum().rank <= 5
+    ]
+    assert len(specs) >= 27
+    for spec in specs:
+        code, out, _ = run_cli(capsys, "check", spec)
+        want = golden[f"check {spec}"]
+        assert code == want["rc"], spec
+        assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"], spec
+
+
+def test_oracles_stay_independent_of_the_library():
+    tree = ast.parse((ROOT / "src" / "uctop" / "oracles.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "oracles must not import from the package"
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in sys.stdlib_module_names, name
+    # the package loads the oracles only when `check` runs
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, uctop, uctop.cli; print('uctop.oracles' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point_runs():

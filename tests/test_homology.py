@@ -31,7 +31,7 @@ from uctop.rootdata import (
     killing_projection,
 )
 
-from oracles import cramer_projection, leibniz_det, naive_rank
+from uctop.oracles import cramer_projection, leibniz_det, naive_rank
 
 
 def ct(*factors):

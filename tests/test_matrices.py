@@ -22,7 +22,7 @@ from uctop.matrices import (
     snf,
 )
 
-from oracles import (
+from uctop.oracles import (
     coset_invariant_factors,
     determinantal_divisor_data,
     leibniz_det,
@@ -212,6 +212,10 @@ def test_rank_mod_p_against_naive_elimination():
         m = SparseMatrix.from_rows(rows, cols=nc)
         want = naive_rank(rows)
         assert rank(m) == want, rows
+        assert rank(RatMatrix.from_rows(rows, cols=nc)) == want, rows
+        # denominators are 1..4, so 12 clears them all
+        ints = [[int(12 * e) for e in row] for row in rows]
+        assert rank(IntMatrix.from_rows(ints, cols=nc)) == want, rows
         assert rank_mod_p(m, RANK_PRIME) == want, rows
         for p in (2, 3, 5):
             got = rank_mod_p(m, p)

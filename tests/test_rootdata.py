@@ -21,7 +21,7 @@ from uctop.rootdata import (
     weyl_order,
 )
 
-from oracles import (
+from uctop.oracles import (
     cramer_projection,
     determinantal_divisor_data,
     leibniz_det,
