@@ -6,14 +6,15 @@ integer matrix>)``, e.g. ``A3:sc``, ``a1xA2:adjoint``,
 case-insensitive and whitespace is ignored. Levi sets are 1-based comma
 lists matching the Bourbaki labels.
 
-Exit codes: 0 success, 1 usage or parse errors (and failed `check` runs),
-2 mathematical refusal (a proper Levi center with nontrivial component
-group).
+Exit codes: 0 success, 1 usage or parse errors, a failed internal guard (and
+failed `check` runs), 2 mathematical refusal (a proper Levi center with
+nontrivial component group).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -21,9 +22,11 @@ from fractions import Fraction
 
 from .assembly import _attach_handles, universal_centralizer_homology
 from .counting import e_polynomial, point_count_poly, poincare_from_purity
-from .errors import GroupSpecError, NontrivialPi0
+from .errors import FunctorialityViolation, GroupSpecError, NontrivialPi0, UctopError
 from .homology import (
     _betti_from_complex,
+    _check_chains,
+    _covering_triangles,
     boundary_homology,
     build_cech_complex,
     build_center_diagram,
@@ -388,19 +391,35 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         ),
     )
 
-    add("projection functoriality over chains", _check_functoriality(d, n))
+    proper = all_levi_subsets(n, proper=True)
+    if n <= 4:
+        chains = [
+            (s1, s2, s3)
+            for s1, s2, s3 in itertools.product(proper, repeat=3)
+            if set(s1) <= set(s2) <= set(s3)
+        ]
+    else:
+        chains = _covering_triangles(n, itertools.permutations)
+    diagram = None
+    try:
+        diagram = build_center_diagram(d)  # checks the covering triangles itself
+        _check_chains(diagram, chains)
+    except FunctorialityViolation as exc:
+        add("projection functoriality over chains", False, str(exc))
+    else:
+        add("projection functoriality over chains", True)
     add(
         "projections surject onto their targets",
         all(
             rank(killing_projection(d, s, sp)) == n - len(sp)
-            for s in all_levi_subsets(n, proper=True)
-            for sp in all_levi_subsets(n, proper=True)
+            for s in proper
+            for sp in proper
             if set(s) <= set(sp)
         )
         if n <= 5
         else all(
             rank(killing_projection(d, s, tuple(sorted(s + (a,))))) == n - len(s) - 1
-            for s in all_levi_subsets(n, proper=True)
+            for s in proper
             for a in range(1, n + 1)
             if a not in s and len(s) + 1 < n
         ),
@@ -425,7 +444,8 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     )
 
     # these read the complex, its Betti table and the assembly computed
-    # below, and run only when no proper Levi center is disconnected
+    # below, and run only when no proper Levi center is disconnected and
+    # the diagram and the complex pass their guards
     sphere = (1,) + (0,) * (2 * n - 2) + (1,)
     boundary_checks = [
         # build_cech_complex raises unless d.d = 0 on every row
@@ -461,11 +481,18 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     ]
     witness = proper_pi0_witness(d)
     if witness is None:
-        complex_ = build_cech_complex(build_center_diagram(d))
-        forward = _betti_from_complex(complex_)
-        report = _attach_handles(d, forward)
-        run(boundary_checks)
-        add("refusal contract: no witness, assembly succeeded", True)
+        boundary_checks.append(("refusal contract: no witness, assembly succeeded", lambda: True))
+        complex_ = None
+        if diagram is not None:
+            try:
+                complex_ = build_cech_complex(diagram)
+            except FunctorialityViolation as exc:
+                name, _ = boundary_checks.pop(0)  # the d.d = 0 entry
+                add(name, False, str(exc))
+        if complex_ is not None:
+            forward = _betti_from_complex(complex_)
+            report = _attach_handles(d, forward)
+        run(boundary_checks, skip="" if complex_ is not None else "needs the Cech complex")
     else:
         detail = f"refused at S = {_levi_str(witness)}"
         run(boundary_checks, skip=detail)
@@ -480,33 +507,6 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
             detail,
         )
     return items
-
-
-def _check_functoriality(d: RootDatum, n: int) -> bool:
-    proper = all_levi_subsets(n, proper=True)
-    if n <= 4:
-        chains = (
-            (s1, s2, s3)
-            for s1 in proper
-            for s2 in proper
-            if set(s1) <= set(s2)
-            for s3 in proper
-            if set(s2) <= set(s3)
-        )
-    else:
-        chains = (
-            (s, tuple(sorted(s + (a,))), tuple(sorted(s + (a, b))))
-            for s in proper
-            for a in range(1, n + 1)
-            if a not in s
-            for b in range(1, n + 1)
-            if b not in s and b != a and len(s) + 2 < n
-        )
-    for s1, s2, s3 in chains:
-        lhs = killing_projection(d, s2, s3).mul(killing_projection(d, s1, s2))
-        if lhs != killing_projection(d, s1, s3):
-            return False
-    return True
 
 
 def _check_substitution(e_coeffs, p_coeffs, n: int) -> bool:
@@ -639,12 +639,12 @@ def main(argv=None) -> int:
                     f"--levi indices must lie in 1..{n}", None
                 )
         report = _HANDLERS[args.command](spec, d, args)
-    except GroupSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NontrivialPi0 as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    except UctopError as exc:  # bad input, or a library guard that failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(report.to_json() if args.format == "json" else report.to_table())
     return report.exit_code
 

@@ -106,11 +106,12 @@ class CenterDiagram:
 
 def build_center_diagram(d: RootDatum) -> CenterDiagram:
     """Populate all spaces, the identity and the covering arrows; verify
-    functoriality on covering squares.
+    functoriality on covering triangles.
 
-    Checking the generating triangles S -> S + {a} -> S + {a, b} against the
-    long arrow S -> S + {a, b} pins down every composite, since any inclusion
-    factors through single-element steps.
+    Each triangle S -> S + {a} -> S + {a, b} with a < b is checked against
+    the long arrow S -> S + {a, b}. The other middle set S + {b} needs no
+    check here: d.d = 0 at w = 1, which `build_cech_complex` verifies, says
+    exactly that both paths around the square agree.
     """
     n = d.rank
     subsets = all_levi_subsets(n, proper=True)
@@ -127,25 +128,31 @@ def build_center_diagram(d: RootDatum) -> CenterDiagram:
                     sp = tuple(sorted(s + (a,)))
                     arrows[(s, sp)] = killing_projection(d, s, sp)
     diagram = CenterDiagram(d, spaces, arrows)
-    _check_covering_squares(diagram, n)
+    _check_chains(diagram, _covering_triangles(n))
     return diagram
 
 
-def _check_covering_squares(diagram: CenterDiagram, n: int) -> None:
+def _covering_triangles(n: int, pairs=itertools.combinations):
+    """Chains S -> S + {a} -> S + {a, b} of proper subsets, (a, b) drawn by `pairs`.
+
+    The default takes a < b; `itertools.permutations` gives both middle sets.
+    """
     full = set(range(1, n + 1))
-    for s in diagram.spaces:
-        outside = sorted(full - set(s))
-        for a, b in itertools.combinations(outside, 2):
-            sab = tuple(sorted(s + (a, b)))
-            if len(sab) == n:
-                continue  # objects stop short of the full set
-            sa = tuple(sorted(s + (a,)))
-            via = diagram.arrow(sa, sab).mul(diagram.arrow(s, sa))
-            if via != diagram.arrow(s, sab):
-                raise FunctorialityViolation(
-                    f"projection composite through {sa} disagrees with the "
-                    f"direct arrow {s} -> {sab}"
-                )
+    for s in all_levi_subsets(n, proper=True):
+        if len(s) + 2 < n:
+            for a, b in pairs(sorted(full - set(s)), 2):
+                yield s, tuple(sorted(s + (a,))), tuple(sorted(s + (a, b)))
+
+
+def _check_chains(diagram: CenterDiagram, chains) -> None:
+    """Raise FunctorialityViolation unless, on every chain s1 <= s2 <= s3,
+    arrow(s2, s3) . arrow(s1, s2) == arrow(s1, s3)."""
+    for s1, s2, s3 in chains:
+        if diagram.arrow(s2, s3).mul(diagram.arrow(s1, s2)) != diagram.arrow(s1, s3):
+            raise FunctorialityViolation(
+                f"projection composite through {s2} disagrees with the "
+                f"direct arrow {s1} -> {s3}"
+            )
 
 
 @dataclass

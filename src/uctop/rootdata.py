@@ -190,20 +190,31 @@ def build_datum(t: CartanType, isogeny: str | IntMatrix) -> RootDatum:
         if isogeny == "sc":
             return RootDatum(t, IntMatrix.identity(n))
         raise ValueError(f"unknown isogeny {isogeny!r}")
-    lat = isogeny
-    if lat.rows != n or lat.cols != n:
+    if isogeny.rows != n or isogeny.cols != n:
         raise ValueError(f"lattice basis must be {n}x{n} for this type")
+    d = RootDatum(t, isogeny)
+    _roots_in_basis(d)  # raises unless the basis is regular and holds every root
+    return d
+
+
+@lru_cache(maxsize=None)
+def _roots_in_basis(d: RootDatum) -> IntMatrix:
+    """R = A . L^(-1): row i writes the simple root alpha_i in the char-lattice basis.
+
+    One fraction-free solve of L^T X = A^T. The solution comes back in lowest
+    terms, so R is integral exactly when its denominator is 1, i.e. when the
+    lattice contains the root lattice.
+    """
     try:
-        lat_inv = lat.to_rational().inverse()
+        x, den = d.char_lattice.transpose().solve(cartan_matrix(d.cartan_type).transpose())
     except ValueError:
         raise ValueError("lattice basis matrix is singular") from None
-    roots_in_basis = cartan_matrix(t).to_rational().mul(lat_inv)
-    if any(e.denominator != 1 for e in roots_in_basis.entries):
+    if den != 1:
         raise ValueError(
             "lattice does not contain the root lattice: some simple root is "
             "not an integer combination of the basis rows"
         )
-    return RootDatum(t, lat)
+    return x.transpose()
 
 
 @dataclass(frozen=True)
@@ -228,38 +239,15 @@ def _normalize_levi(d: RootDatum, levi: Iterable[int]) -> tuple[int, ...]:
     return s
 
 
-@lru_cache(maxsize=None)
-def _lattice_inverse(d: RootDatum) -> RatMatrix:
-    return d.char_lattice.to_rational().inverse()
-
-
-@lru_cache(maxsize=None)
-def _levi_root_matrix_cached(d: RootDatum, s: tuple[int, ...]) -> IntMatrix:
-    a = cartan_matrix(d.cartan_type)
-    rows = [a.row(i - 1) for i in s]
-    sel = RatMatrix.from_rows(rows, cols=d.rank)
-    m = sel.mul(_lattice_inverse(d))
-    # integral because the char lattice contains the root lattice
-    return IntMatrix(
-        m.rows, m.cols, tuple(_as_int(e) for e in m.entries)
-    )
-
-
-def _as_int(e: Fraction) -> int:
-    if e.denominator != 1:
-        raise ArithmeticError("expected an integral matrix entry")
-    return e.numerator
-
-
 def levi_root_matrix(d: RootDatum, levi: Iterable[int]) -> IntMatrix:
     """Rows: the simple roots indexed by `levi` written in the char-lattice basis."""
-    return _levi_root_matrix_cached(d, _normalize_levi(d, levi))
+    r = _roots_in_basis(d)
+    return IntMatrix.from_rows([r.row(i - 1) for i in _normalize_levi(d, levi)], cols=d.rank)
 
 
 @lru_cache(maxsize=None)
 def _center_of_levi_cached(d: RootDatum, s: tuple[int, ...]) -> CenterData:
-    m = _levi_root_matrix_cached(d, s)
-    dec = snf(m)
+    dec = snf(levi_root_matrix(d, s))
     if dec.rank != len(s):
         raise ArithmeticError("simple roots must be linearly independent")
     return CenterData(pi0=dec.factors, cochar_basis=dec.kernel, dim=d.rank - len(s))
@@ -344,11 +332,10 @@ def _dual_gram(d: RootDatum) -> IntMatrix:
     Scaled by a positive integer to clear its denominators; orthogonal
     projections do not see the scale.
     """
-    linv = _lattice_inverse(d)
-    g = invariant_form(d).gram.to_rational()
-    m = linv.transpose().mul(g).mul(linv)
-    den = math.lcm(*(e.denominator for e in m.entries)) if m.entries else 1
-    return IntMatrix(m.rows, m.cols, tuple(_as_int(e * den) for e in m.entries))
+    lat_t = d.char_lattice.transpose()
+    y, _ = lat_t.solve(invariant_form(d).gram)  # L^-T G
+    m, _ = lat_t.solve(y.transpose())  # L^-T G L^-1, as G is symmetric
+    return m
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from uctop.cli import main, parse_spec
-from uctop.errors import GroupSpecError
+from uctop.errors import FunctorialityViolation, GroupSpecError
 from uctop.matrices import IntMatrix
 from uctop.rootdata import CartanType
 
@@ -236,6 +236,32 @@ def test_check_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check", "A1:sc")
     assert code == 1
     assert "FAIL rigged to fail" in out
+
+
+@pytest.mark.parametrize(
+    "guard, item",
+    [
+        ("_check_chains", "projection functoriality over chains"),
+        ("_check_square_zero", "cech differentials square to zero"),
+    ],
+)
+def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
+    from uctop import homology
+
+    def broken(*args):
+        raise FunctorialityViolation(f"rigged {guard}")
+
+    monkeypatch.setattr(homology, guard, broken)
+    homology.boundary_homology.cache_clear()
+    assert run_cli(capsys, "jgbetti", "A3:adjoint") == (1, "", f"error: rigged {guard}\n")
+    code, out, _ = run_cli(capsys, "check", "A3:adjoint")
+    lines = out.splitlines()
+    assert code == 1
+    assert [x for x in lines if x.startswith("FAIL")] == [f"FAIL {item} (rigged {guard})"]
+    skipped = [x for x in lines if x.startswith("SKIP")]
+    assert len(skipped) == (10 if guard == "_check_chains" else 9)
+    assert all(x.endswith(" (needs the Cech complex)") for x in skipped)
+    assert skipped[-1].startswith("SKIP refusal contract: no witness")
 
 
 def test_max_rank_override(capsys):

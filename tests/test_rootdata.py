@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -131,12 +132,57 @@ def test_build_datum_intermediate_lattice():
     assert center_order(d) == 2
     # rejects a sublattice missing the second simple root
     bad = IntMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 2]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         build_datum(a3, bad)
-    with pytest.raises(ValueError):
+    assert str(exc.value) == (
+        "lattice does not contain the root lattice: some simple root is "
+        "not an integer combination of the basis rows"
+    )
+    with pytest.raises(ValueError) as exc:
         build_datum(a3, IntMatrix.from_rows([[1, 0, 1], [0, 1, 0], [1, 1, 1]]))  # singular
+    assert str(exc.value) == "lattice basis matrix is singular"
     with pytest.raises(ValueError):
         build_datum(a3, IntMatrix.identity(2))  # wrong shape
+
+
+# bases of rank <= 5 between the root and the weight lattice
+INTERMEDIATE_BASES = [
+    (ct(("A", 3)), [[1, 0, 1], [0, 1, 0], [2, 0, 0]]),
+    (ct(("D", 4)), [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 1], [0, 0, -1, 1]]),
+    # A5, index 2 in the weight lattice: c1 + c3 + c5 even
+    (
+        ct(("A", 5)),
+        [[1, 0, 1, 0, 0], [0, 1, 0, 0, 0], [2, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 1]],
+    ),
+]
+
+
+def _scrambled(rows: list[list[int]], rng: random.Random) -> IntMatrix:
+    """The same lattice in another basis: row operations r_i += +-r_j, then a shuffle."""
+    rows = [list(r) for r in rows]
+    for _ in range(2 * len(rows)):
+        i, j = rng.sample(range(len(rows)), 2) if len(rows) > 1 else (0, 0)
+        if i != j:
+            sign = rng.choice((1, -1))
+            rows[i] = [x + sign * y for x, y in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return IntMatrix.from_rows(rows)
+
+
+def test_levi_root_matrix_values_in_every_basis():
+    # levi_root_matrix(d, S) writes the roots of S in the basis L, so
+    # multiplying back by L must give the Cartan rows of S exactly
+    rng = random.Random(20240617)
+    bases = [(t, cartan_matrix(t).to_lists()) for t in ADJOINT_SWEEP if t.rank <= 5]
+    bases += [(t, IntMatrix.identity(t.rank).to_lists()) for t, _ in list(bases)]
+    bases += INTERMEDIATE_BASES
+    data = [build_datum(t, IntMatrix.from_rows(rows)) for t, rows in bases]
+    data += [build_datum(t, _scrambled(rows, rng)) for t, rows in bases]
+    for d in data:
+        a = cartan_matrix(d.cartan_type)
+        for s in all_levi_subsets(d.rank):
+            want = IntMatrix.from_rows([a.row(i - 1) for i in s], cols=d.rank)
+            assert levi_root_matrix(d, s).mul(d.char_lattice) == want, (d, s)
 
 
 def test_so8_lattice_datum():
