@@ -77,7 +77,13 @@ class GroupSpec:
 
 
 def parse_spec(s: str) -> GroupSpec:
-    """Parse a group spec string; raises GroupSpecError with a position."""
+    """Parse a group spec string; raises GroupSpecError with a position.
+
+    Only a `lattice=` spec is validated against its root datum here (its
+    input already holds the n x n entries); a named isogeny always gives a
+    datum, and nothing of size n x n is built for it before `main` has
+    checked the rank.
+    """
     compact = "".join(s.split())
     if not compact:
         raise GroupSpecError("empty group spec", 0)
@@ -91,10 +97,11 @@ def parse_spec(s: str) -> GroupSpec:
     except ValueError as exc:
         raise GroupSpecError(str(exc), 0) from None
     spec = GroupSpec(s, ct, isogeny)
-    try:
-        spec.datum()
-    except ValueError as exc:
-        raise GroupSpecError(str(exc), colon + 1) from None
+    if isinstance(isogeny, IntMatrix):
+        try:
+            spec.datum()
+        except ValueError as exc:
+            raise GroupSpecError(str(exc), colon + 1) from None
     return spec
 
 
@@ -110,11 +117,14 @@ def _parse_type_part(part: str) -> list[tuple[str, int]]:
         start = i
         i += 1
         j = i
-        while j < len(part) and part[j].isdigit():
+        while j < len(part) and part[j].isdecimal():
             j += 1
         if j == i:
             raise GroupSpecError("expected a rank after the Cartan letter", i)
-        rk = int(part[i:j])
+        try:
+            rk = int(part[i:j])
+        except ValueError:  # past the interpreter's limit on digits
+            raise GroupSpecError("rank has too many digits", i) from None
         try:
             CartanType(((letter, rk),))
         except ValueError as exc:
@@ -141,9 +151,12 @@ def _parse_isogeny_part(compact: str, pos: int, n: int) -> str | IntMatrix:
         payload = part[len("lattice=") :]
         try:
             rows = json.loads(payload)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # besides malformed JSON: an integer past the interpreter's digit
+            # limit (ValueError) and arrays nested too deep (RecursionError)
+            reason = getattr(exc, "msg", "too many digits or nesting levels")
             raise GroupSpecError(
-                f"lattice matrix is not valid JSON ({exc.msg})", pos + len("lattice=")
+                f"lattice matrix is not valid JSON ({reason})", pos + len("lattice=")
             ) from None
         if (
             not isinstance(rows, list)
@@ -392,17 +405,20 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     )
 
     proper = all_levi_subsets(n, proper=True)
+    # build_center_diagram checks the covering triangles with a < b itself;
+    # the chains here are the rest, so each chain is checked once
     if n <= 4:
+        checked = set(_covering_triangles(n))
         chains = [
             (s1, s2, s3)
             for s1, s2, s3 in itertools.product(proper, repeat=3)
-            if set(s1) <= set(s2) <= set(s3)
+            if set(s1) <= set(s2) <= set(s3) and (s1, s2, s3) not in checked
         ]
     else:
-        chains = _covering_triangles(n, itertools.permutations)
+        chains = _covering_triangles(n, ascending=False)
     diagram = None
     try:
-        diagram = build_center_diagram(d)  # checks the covering triangles itself
+        diagram = build_center_diagram(d)
         _check_chains(diagram, chains)
     except FunctorialityViolation as exc:
         add("projection functoriality over chains", False, str(exc))
@@ -623,8 +639,7 @@ def main(argv=None) -> int:
         return 1
     try:
         spec = parse_spec(args.spec)
-        d = spec.datum()
-        n = d.rank
+        n = spec.cartan_type.rank  # gated before anything n x n is built
         if n > args.max_rank:
             raise GroupSpecError(
                 f"total rank {n} exceeds --max-rank={args.max_rank}"
@@ -638,7 +653,7 @@ def main(argv=None) -> int:
                 raise GroupSpecError(
                     f"--levi indices must lie in 1..{n}", None
                 )
-        report = _HANDLERS[args.command](spec, d, args)
+        report = _HANDLERS[args.command](spec, spec.datum(), args)
     except NontrivialPi0 as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

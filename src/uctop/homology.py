@@ -27,7 +27,6 @@ from .errors import FunctorialityViolation, NontrivialPi0
 from .matrices import (
     IntMatrix,
     RatMatrix,
-    SparseMatrix,
     _subset_index,
     exterior_powers,
     rank,
@@ -132,16 +131,15 @@ def build_center_diagram(d: RootDatum) -> CenterDiagram:
     return diagram
 
 
-def _covering_triangles(n: int, pairs=itertools.combinations):
-    """Chains S -> S + {a} -> S + {a, b} of proper subsets, (a, b) drawn by `pairs`.
-
-    The default takes a < b; `itertools.permutations` gives both middle sets.
-    """
+def _covering_triangles(n: int, ascending: bool = True):
+    """Chains S -> S + {a} -> S + {a, b} of proper subsets with a < b, or
+    with a > b (the other middle set) when not `ascending`."""
     full = set(range(1, n + 1))
     for s in all_levi_subsets(n, proper=True):
         if len(s) + 2 < n:
-            for a, b in pairs(sorted(full - set(s)), 2):
-                yield s, tuple(sorted(s + (a,))), tuple(sorted(s + (a, b)))
+            for a, b in itertools.permutations(sorted(full - set(s)), 2):
+                if (a < b) == ascending:
+                    yield s, tuple(sorted(s + (a,))), tuple(sorted(s + (a, b)))
 
 
 def _check_chains(diagram: CenterDiagram, chains) -> None:
@@ -167,7 +165,7 @@ class CechRow:
     w: int
     blocks: list[list[tuple[int, ...]]]
     dims: list[int]
-    diffs: dict[int, SparseMatrix]
+    diffs: dict[int, RatMatrix]
 
 
 @dataclass
@@ -201,7 +199,7 @@ def build_cech_complex(diagram: CenterDiagram) -> CechComplex:
         minors = {key: next(stream) for key, stream in streams.items()}
         width = [math.comb(p + 1, w) for p in range(n)]
         dims = [width[p] * len(blocks[p]) for p in range(n)]
-        diffs: dict[int, SparseMatrix] = {}
+        diffs: dict[int, RatMatrix] = {}
         for p in range(1, n):
             diffs[p] = _assemble_differential(
                 minors, blocks, index_of, full, w, p, dims
@@ -239,7 +237,7 @@ def _assemble_differential(minors, blocks, index_of, full, w, p, dims):
                 block_rows[lo_index[rsub]][col0 + hi_index[csub]] = f * v
         num.extend(block_rows)
         den.extend([row_den] * lo)
-    return SparseMatrix(dims[p - 1], dims[p], tuple(num), tuple(den))
+    return RatMatrix(dims[p - 1], dims[p], tuple(num), tuple(den))
 
 
 def _check_square_zero(row: CechRow, n: int) -> None:

@@ -1,9 +1,10 @@
 """Exact integer and rational matrix primitives.
 
 All arithmetic is arbitrary precision: integer matrices hold Python ints,
-rational matrices hold ``fractions.Fraction`` values (always in lowest terms,
-positive denominators). Matrices are immutable value objects; every operation
-returns a new value, so everything here is safe to use concurrently.
+rational matrices hold sparse integer rows over per-row denominators (always
+in lowest terms, positive denominators). Matrices are immutable value
+objects; every operation returns a new value, so everything here is safe to
+use concurrently.
 """
 
 from __future__ import annotations
@@ -49,16 +50,7 @@ class IntMatrix:
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
         """Build from a list of rows; ``cols`` is required when there are no rows."""
         rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row width")
-            cols = width
-        elif cols is None:
-            cols = 0
-        return cls(len(rows), cols, tuple(int(e) for r in rows for e in r))
+        return cls(len(rows), _width(rows, cols), tuple(int(e) for r in rows for e in r))
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
@@ -128,124 +120,28 @@ class IntMatrix:
             g = -g
         return IntMatrix(n, rhs.cols, tuple(e // g for e in num)), prev // g
 
-    def to_rational(self) -> RatMatrix:
-        return RatMatrix(self.rows, self.cols, tuple(Fraction(e) for e in self.entries))
+    def to_rational(self, den: int = 1) -> RatMatrix:
+        """This matrix divided by `den`, as a rational matrix."""
+        num = tuple(
+            {j: e for j, e in enumerate(self.row(i)) if e} for i in range(self.rows)
+        )
+        return RatMatrix(self.rows, self.cols, num, (den,) * self.rows)
+
+
+def _width(rows: list[list], cols: int | None) -> int:
+    """Common row width, checked against `cols`; `cols` (or 0) when there are no rows."""
+    if not rows:
+        return cols or 0
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError("ragged rows")
+    if cols is not None and cols != width:
+        raise ValueError("cols does not match row width")
+    return width
 
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable rational matrix; entries are Fractions in lowest terms."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        if not all(isinstance(e, Fraction) for e in self.entries):
-            object.__setattr__(
-                self, "entries", tuple(Fraction(e) for e in self.entries)
-            )
-
-    @classmethod
-    def from_rows(
-        cls, rows: Sequence[Sequence[Fraction | int]], cols: int | None = None
-    ) -> RatMatrix:
-        rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row width")
-            cols = width
-        elif cols is None:
-            cols = 0
-        return cls(len(rows), cols, tuple(Fraction(e) for r in rows for e in r))
-
-    @classmethod
-    def identity(cls, n: int) -> RatMatrix:
-        return cls(n, n, tuple(Fraction(int(i == j)) for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> RatMatrix:
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> RatMatrix:
-        ent = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return RatMatrix(self.cols, self.rows, ent)
-
-    def mul(self, other: RatMatrix) -> RatMatrix:
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in product")
-        ocols = other.cols
-        ent = [Fraction(0)] * (self.rows * ocols)
-        for i in range(self.rows):
-            ri = self.row(i)
-            base = i * ocols
-            for k in range(self.cols):
-                a = ri[k]
-                if a:
-                    orow = other.row(k)
-                    for j in range(ocols):
-                        b = orow[j]
-                        if b:
-                            ent[base + j] += a * b
-        return RatMatrix(self.rows, ocols, tuple(ent))
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-    def inverse(self) -> RatMatrix:
-        """Exact inverse by Gauss-Jordan; raises ValueError when singular."""
-        if self.rows != self.cols:
-            raise ValueError("only square matrices can be inverted")
-        n = self.rows
-        a = self.to_lists()
-        inv = RatMatrix.identity(n).to_lists()
-        for c in range(n):
-            piv = next((i for i in range(c, n) if a[i][c]), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[c], a[piv] = a[piv], a[c]
-            inv[c], inv[piv] = inv[piv], inv[c]
-            p = a[c][c]
-            a[c] = [e / p for e in a[c]]
-            inv[c] = [e / p for e in inv[c]]
-            for i in range(n):
-                if i != c and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [e - f * g for e, g in zip(a[i], a[c])]
-                    inv[i] = [e - f * g for e, g in zip(inv[i], inv[c])]
-        return RatMatrix.from_rows(inv, cols=n)
-
-    def det(self) -> Fraction:
-        """Exact determinant by elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        return _det_lists(self.to_lists(), self.rows)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> RatMatrix:
-        ent = tuple(self.at(i, j) for i in row_idx for j in col_idx)
-        return RatMatrix(len(row_idx), len(col_idx), ent)
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
     """Immutable sparse rational matrix: integer rows over per-row denominators.
 
     Row i holds the value ``num[i][j] / den[i]`` at each column j in
@@ -254,6 +150,7 @@ class SparseMatrix:
     numerators, no stored zeros), so equal matrices compare equal. The
     numerator rows alone are the matrix with its denominators cleared row by
     row, which scales each row by a nonzero rational and keeps the rank.
+    The rows are dicts, so values are not hashable.
     """
 
     rows: int
@@ -284,15 +181,26 @@ class SparseMatrix:
     @classmethod
     def from_rows(
         cls, rows: Sequence[Sequence[Fraction | int]], cols: int | None = None
-    ) -> SparseMatrix:
-        dense = RatMatrix.from_rows(rows, cols)
+    ) -> RatMatrix:
+        rows = [[Fraction(e) for e in r] for r in rows]
+        cols = _width(rows, cols)
         num, den = [], []
-        for i in range(dense.rows):
-            row = dense.row(i)
-            d = math.lcm(*(e.denominator for e in row)) if row else 1
+        for row in rows:
+            d = math.lcm(*(e.denominator for e in row))
             num.append({j: e.numerator * (d // e.denominator) for j, e in enumerate(row) if e})
             den.append(d)
-        return cls(dense.rows, dense.cols, tuple(num), tuple(den))
+        return cls(len(rows), cols, tuple(num), tuple(den))
+
+    @classmethod
+    def identity(cls, n: int) -> RatMatrix:
+        return cls(n, n, tuple({i: 1} for i in range(n)), (1,) * n)
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> RatMatrix:
+        return cls(rows, cols, ({},) * rows, (1,) * rows)
+
+    def at(self, i: int, j: int) -> Fraction:
+        return Fraction(self.num[i].get(j, 0), self.den[i])
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
@@ -308,13 +216,13 @@ class SparseMatrix:
     def to_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def mul(self, other: SparseMatrix) -> SparseMatrix:
+    def mul(self, other: RatMatrix) -> RatMatrix:
         """Exact sparse product, computed in integers."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
         # bring other's rows to one denominator m, then each product row
         # is an integer combination of them over den[i] * m
-        m = math.lcm(*other.den) if other.den else 1
+        m = math.lcm(*other.den)
         scale = [m // d for d in other.den]
         num = []
         for row in self.num:
@@ -324,12 +232,41 @@ class SparseMatrix:
                 for j, b in other.num[k].items():
                     acc[j] = acc.get(j, 0) + f * b
             num.append(acc)
-        return SparseMatrix(
-            self.rows, other.cols, tuple(num), tuple(d * m for d in self.den)
-        )
+        return RatMatrix(self.rows, other.cols, tuple(num), tuple(d * m for d in self.den))
 
     def is_zero(self) -> bool:
         return not any(self.num)
+
+    def det(self) -> Fraction:
+        """Exact determinant: fraction-free (Bareiss) elimination of the
+        numerator rows, over the product of the row denominators."""
+        n = self.rows
+        if self.cols != n:
+            raise ValueError("determinant requires a square matrix")
+        a = [[row.get(j, 0) for j in range(n)] for row in self.num]
+        sign = prev = 1
+        for c in range(n):
+            piv = next((i for i in range(c, n) if a[i][c]), None)
+            if piv is None:
+                return Fraction(0)
+            if piv != c:
+                a[c], a[piv] = a[piv], a[c]
+                sign = -sign
+            pr = a[c]
+            for i in range(c + 1, n):
+                e = a[i][c]
+                a[i] = [(pr[c] * x - e * y) // prev for x, y in zip(a[i], pr)]
+            prev = pr[c]
+        return Fraction(sign * prev, math.prod(self.den))
+
+    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> RatMatrix:
+        cols = list(col_idx)
+        num = tuple({k: self.num[i][j] for k, j in enumerate(cols) if j in self.num[i]}
+                    for i in row_idx)
+        return RatMatrix(len(num), len(cols), num, tuple(self.den[i] for i in row_idx))
+
+
+SparseMatrix = RatMatrix  # the same class under its former name
 
 
 @dataclass(frozen=True)
@@ -467,23 +404,15 @@ def _nondivisible(a, nr, nc, t):
     return None
 
 
-def rank(m: RatMatrix | IntMatrix | SparseMatrix) -> int:
-    """Rank over the rationals, by sparse elimination on integer rows.
-
-    A SparseMatrix goes in as its numerator rows; dense input has each
-    row's denominators cleared first, which scales the row and keeps the rank.
-    """
-    if isinstance(m, SparseMatrix):
-        return _sparse_rank(m.num, None)
-    rows = []
-    for i in range(m.rows):
-        row = m.row(i)
-        den = math.lcm(*(e.denominator for e in row))
-        rows.append({j: e.numerator * (den // e.denominator) for j, e in enumerate(row) if e})
-    return _sparse_rank(rows, None)
+def rank(m: RatMatrix | IntMatrix) -> int:
+    """Rank over the rationals, by sparse elimination on the numerator rows
+    (the matrix with its denominators cleared row by row, same rank)."""
+    if isinstance(m, IntMatrix):
+        m = m.to_rational()
+    return _sparse_rank(m.num, None)
 
 
-def rank_mod_p(m: SparseMatrix, p: int) -> int:
+def rank_mod_p(m: RatMatrix, p: int) -> int:
     """Rank over F_p of m with its denominators cleared row by row (p prime).
 
     Never exceeds rank(m): a minor that is nonzero mod p is a nonzero integer,
@@ -550,11 +479,10 @@ def compound(m: RatMatrix, k: int) -> RatMatrix:
     den, minors = next(itertools.islice(exterior_powers(m), k, None))
     row_index = _subset_index(m.rows, k)
     col_index = _subset_index(m.cols, k)
-    ncols = len(col_index)
-    ent = [Fraction(0)] * (len(row_index) * ncols)
+    num: list[dict[int, int]] = [{} for _ in row_index]
     for (ri, ci), v in minors.items():
-        ent[row_index[ri] * ncols + col_index[ci]] = Fraction(v, den)
-    return RatMatrix(len(row_index), ncols, tuple(ent))
+        num[row_index[ri]][col_index[ci]] = v
+    return RatMatrix(len(num), len(col_index), tuple(num), (den,) * len(num))
 
 
 def _subset_index(n: int, k: int) -> dict[tuple[int, ...], int]:
@@ -568,18 +496,15 @@ Minors = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
 def exterior_powers(m: RatMatrix) -> Iterator[tuple[int, Minors]]:
     """All minors of m in integers, one size k = 0, 1, 2, ... per item.
 
-    With L the lcm of the denominators of m, item k is (L^k, minors), where
+    With L the lcm of the row denominators of m, item k is (L^k, minors), where
     `minors` maps each pair (I, J) of sorted row and column index tuples of
     size k whose minor is nonzero to L^k * det(m[I, J]), an integer. Each size
     is built from the one before by Laplace expansion along the first row of
     I, so one pass per size computes every minor of that size. Past the
     smaller dimension the minors are empty; the iterator never ends.
     """
-    lcm = math.lcm(*(e.denominator for e in m.entries)) if m.entries else 1
-    a = [
-        {j: e.numerator * (lcm // e.denominator) for j, e in enumerate(m.row(i)) if e}
-        for i in range(m.rows)
-    ]
+    lcm = math.lcm(*m.den)
+    a = [{j: v * (lcm // d) for j, v in row.items()} for row, d in zip(m.num, m.den)]
     den = 1
     level: Minors = {((), ()): 1}
     while True:
@@ -596,21 +521,3 @@ def exterior_powers(m: RatMatrix) -> Iterator[tuple[int, Minors]]:
         level = {key: v for key, v in nxt.items() if v}
         den *= lcm
 
-
-def _det_lists(a: list[list[Fraction]], n: int) -> Fraction:
-    """Determinant of a square list-of-lists by exact elimination (destructive)."""
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        p = a[c][c]
-        det *= p
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] / p
-                a[i] = [e - f * g for e, g in zip(a[i], a[c])]
-    return det

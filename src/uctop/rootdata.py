@@ -357,8 +357,7 @@ def _killing_projection_cached(
     d: RootDatum, s: tuple[int, ...], sp: tuple[int, ...]
 ) -> RatMatrix:
     num, den = _projector(d, sp)
-    m = num.mul(center_of_levi(d, s).cochar_basis)
-    return RatMatrix(m.rows, m.cols, tuple(Fraction(e, den) for e in m.entries))
+    return num.mul(center_of_levi(d, s).cochar_basis).to_rational(den)
 
 
 def killing_projection(

@@ -10,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uctop.cli import main, parse_spec
+from uctop.cli import GroupSpec, main, parse_spec
 from uctop.errors import FunctorialityViolation, GroupSpecError
 from uctop.matrices import IntMatrix
 from uctop.rootdata import CartanType
@@ -85,6 +87,42 @@ def test_parse_spec_errors_carry_positions():
         parse_spec("A2:lattice=[[2,0],[0,2],[1,1]]")  # wrong shape
     with pytest.raises(GroupSpecError):
         parse_spec("A2:lattice=[[2,0],[0,2]]")  # drops the roots
+
+
+def test_oversized_lattice_json_is_a_spec_error(capsys):
+    payload_at = len("A1:lattice=")
+    for raw in (
+        "A1:lattice=[[" + "7" * 5000 + "]]",  # past the interpreter's digit limit
+        "A1:lattice=" + "[" * 100_000,  # nested past the recursion limit
+    ):
+        with pytest.raises(GroupSpecError) as err:
+            parse_spec(raw)
+        assert err.value.position == payload_at
+        code, out, err_text = run_cli(capsys, "count", raw)
+        assert (code, out) == (1, "")
+        assert err_text.startswith(f"error: position {payload_at}: lattice matrix is not valid JSON")
+
+
+_SPEC_TOKENS = [
+    "A", "b", "D", "E", "g", "x", "X", "0", "1", "2", "8", "99999999", "\u00b2", ":",
+    "sc", "adjoint", "Lattice=", "[", "]", ",", "-", " ",
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(max_size=40),
+        st.lists(st.sampled_from(_SPEC_TOKENS), max_size=30).map("".join),
+    )
+)
+def test_parse_spec_fuzz_gives_spec_or_positioned_error(raw):
+    try:
+        spec = parse_spec(raw)
+    except GroupSpecError as exc:
+        assert exc.position is not None
+    else:
+        assert isinstance(spec, GroupSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +307,57 @@ def test_max_rank_override(capsys):
     assert code == 1 and "max-rank" in err
     code, out, _ = run_cli(capsys, "info", "A4xA5:sc", "--max-rank", "9")
     assert code == 0 and "rank: 9" in out
+
+
+def test_rank_gate_comes_before_any_n_by_n_work(capsys, monkeypatch):
+    import uctop.cli as cli
+    from uctop import rootdata
+
+    def refuse(*args):
+        raise AssertionError("built an n x n matrix before the rank gate")
+
+    for module in (cli, rootdata):
+        monkeypatch.setattr(module, "build_datum", refuse)
+        monkeypatch.setattr(module, "cartan_matrix", refuse)
+    assert run_cli(capsys, "count", "A100000:sc") == (
+        1, "", "error: total rank 100000 exceeds --max-rank=8\n"
+    )
+    code, _, err = run_cli(capsys, "cgbetti", "E8:adjoint")
+    assert code == 1 and "--slow" in err
+
+
+@pytest.mark.parametrize("spec", ["A4:adjoint", "A5:adjoint"])
+def test_check_compares_each_chain_once(capsys, monkeypatch, spec):
+    import itertools
+
+    import uctop.cli as cli
+    from uctop import homology
+    from uctop.rootdata import all_levi_subsets
+
+    seen = []
+    original = homology._check_chains
+
+    def recording(diagram, chains):
+        chains = list(chains)
+        seen.extend(chains)
+        original(diagram, chains)
+
+    monkeypatch.setattr(homology, "_check_chains", recording)
+    monkeypatch.setattr(cli, "_check_chains", recording)
+    code, out, _ = run_cli(capsys, "check", spec)
+    assert code == 0 and "PASS projection functoriality over chains" in out
+    n = parse_spec(spec).cartan_type.rank
+    proper = all_levi_subsets(n, proper=True)
+    if n <= 4:  # every nested chain of proper subsets
+        want = [c for c in itertools.product(proper, repeat=3) if set(c[0]) <= set(c[1]) <= set(c[2])]
+    else:  # both middle sets of every covering triangle
+        want = [
+            (s, tuple(sorted(s + (a,))), tuple(sorted(s + (a, b))))
+            for s in proper
+            if len(s) + 2 < n
+            for a, b in itertools.permutations(sorted(set(range(1, n + 1)) - set(s)), 2)
+        ]
+    assert sorted(seen) == sorted(want)
 
 
 def test_slow_gate_message(capsys):
