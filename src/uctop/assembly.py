@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import poincare_from_purity
+from .errors import UctopError
 from .homology import BettiTable, boundary_homology
 from .rootdata import RootDatum, center_order, weyl_order
 
@@ -53,9 +54,9 @@ def universal_centralizer_homology(d: RootDatum) -> AssemblyReport:
     """Assemble the rational Betti table of the universal centralizer.
 
     Subject to the same gate as `boundary_homology` (every proper Levi center
-    connected). The boundary must come out as the odd sphere S^(2n-1); one
-    2n-cell per central element is then attached along a rank-one boundary
-    map.
+    connected). The boundary must come out as the odd sphere S^(2n-1), or
+    UctopError is raised; one 2n-cell per central element is then attached
+    along a rank-one boundary map.
     """
     return _attach_handles(d, boundary_homology(d))  # raises NontrivialPi0 when gated
 
@@ -64,14 +65,14 @@ def _attach_handles(d: RootDatum, boundary: BettiTable) -> AssemblyReport:
     """Glue the 2n-cells onto a boundary with Betti table `boundary`."""
     n = d.rank
     if boundary != BettiTable.sphere(2 * n - 1):
-        raise ArithmeticError(
+        raise UctopError(
             "boundary homology is not the expected odd sphere; "
             "assembly premises are violated"
         )
     z = center_order(d)
     number = intersection_number(d)
     if number <= 0:
-        raise ArithmeticError("intersection certificate must be positive")
+        raise UctopError("intersection certificate must be positive")
     boundary_rank = 1
     betti = [0] * (2 * n + 1)
     betti[0] = 1

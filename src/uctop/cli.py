@@ -17,7 +17,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .assembly import _attach_handles, universal_centralizer_homology
@@ -62,6 +62,7 @@ class GroupSpec:
     raw: str
     cartan_type: CartanType
     isogeny: str | IntMatrix
+    _datum: RootDatum | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def canonical(self) -> str:
@@ -73,7 +74,9 @@ class GroupSpec:
         return f"{self.cartan_type}:{iso}"
 
     def datum(self) -> RootDatum:
-        return build_datum(self.cartan_type, self.isogeny)
+        if self._datum is None:  # built once, so every caller shares its cached results
+            object.__setattr__(self, "_datum", build_datum(self.cartan_type, self.isogeny))
+        return self._datum
 
 
 def parse_spec(s: str) -> GroupSpec:
@@ -424,17 +427,19 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         add("projection functoriality over chains", False, str(exc))
     else:
         add("projection functoriality over chains", True)
+    # the diagram holds the covering arrows; without it each is computed here
+    arrow = diagram.arrow if diagram is not None else lambda s, sp: killing_projection(d, s, sp)
     add(
         "projections surject onto their targets",
         all(
-            rank(killing_projection(d, s, sp)) == n - len(sp)
+            rank(arrow(s, sp)) == n - len(sp)
             for s in proper
             for sp in proper
             if set(s) <= set(sp)
         )
         if n <= 5
         else all(
-            rank(killing_projection(d, s, tuple(sorted(s + (a,))))) == n - len(s) - 1
+            rank(arrow(s, tuple(sorted(s + (a,))))) == n - len(s) - 1
             for s in proper
             for a in range(1, n + 1)
             if a not in s and len(s) + 1 < n
@@ -459,11 +464,10 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         _check_substitution(epoly.coeffs, poincare.coeffs, n),
     )
 
-    # these read the complex, its Betti table and the assembly computed
-    # below, and run only when no proper Levi center is disconnected and
-    # the diagram and the complex pass their guards
+    # these read the complex, its Betti table and the assembly below; they run only
+    # when no proper Levi center is disconnected and every guard on the way passes
     sphere = (1,) + (0,) * (2 * n - 2) + (1,)
-    boundary_checks = [
+    complex_checks = [
         # build_cech_complex raises unless d.d = 0 on every row
         ("cech differentials square to zero", lambda: True),
         ("total euler characteristic vanishes", lambda: total_euler(complex_) == 0),
@@ -479,6 +483,8 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
             "boundary homology is the odd sphere",
             lambda: (forward.betti == sphere, f"betti {list(forward.betti)}"),
         ),
+    ]
+    assembly_checks = [
         (
             "assembled euler characteristic equals E(1,1)",
             lambda: report.betti.euler() == epoly.evaluate(1),
@@ -497,21 +503,26 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     ]
     witness = proper_pi0_witness(d)
     if witness is None:
-        boundary_checks.append(("refusal contract: no witness, assembly succeeded", lambda: True))
+        assembly_checks.append(("refusal contract: no witness, assembly succeeded", lambda: True))
         complex_ = None
         if diagram is not None:
             try:
                 complex_ = build_cech_complex(diagram)
             except FunctorialityViolation as exc:
-                name, _ = boundary_checks.pop(0)  # the d.d = 0 entry
+                name, _ = complex_checks.pop(0)  # the d.d = 0 entry
                 add(name, False, str(exc))
+        complex_skip = assembly_skip = "needs the Cech complex"
         if complex_ is not None:
-            forward = _betti_from_complex(complex_)
-            report = _attach_handles(d, forward)
-        run(boundary_checks, skip="" if complex_ is not None else "needs the Cech complex")
+            forward, complex_skip, assembly_skip = _betti_from_complex(complex_), "", ""
+            try:
+                report = _attach_handles(d, forward)
+            except UctopError:  # the boundary is not the odd sphere; that item fails
+                assembly_skip = "needs the assembly"
+        run(complex_checks, skip=complex_skip)
+        run(assembly_checks, skip=assembly_skip)
     else:
         detail = f"refused at S = {_levi_str(witness)}"
-        run(boundary_checks, skip=detail)
+        run(complex_checks + assembly_checks, skip=detail)
         refused = False
         try:
             universal_centralizer_homology(d)

@@ -53,13 +53,6 @@ def _pmul(a, b):
     return out
 
 
-def _ppow(a, k):
-    out = [1]
-    for _ in range(k):
-        out = _pmul(out, a)
-    return out
-
-
 @dataclass(frozen=True)
 class QPolynomial:
     """Integer polynomial in q; `variable` is "q" or "uv" (with q = uv)."""

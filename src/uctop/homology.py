@@ -21,11 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import FunctorialityViolation, NontrivialPi0
 from .matrices import (
-    IntMatrix,
     RatMatrix,
     _subset_index,
     exterior_powers,
@@ -37,6 +35,7 @@ from .rootdata import (
     all_levi_subsets,
     center_of_levi,
     killing_projection,
+    memoized,
     proper_pi0_witness,
 )
 
@@ -82,20 +81,19 @@ class BettiTable:
 
 @dataclass
 class CenterDiagram:
-    """Levi-center cocharacter spaces and projection arrows, over S properly
-    inside Pi ordered by inclusion.
+    """Projection arrows between Levi-center cocharacter spaces, over S
+    properly inside Pi ordered by inclusion.
 
-    `spaces` maps each proper subset (sorted tuple) to (dimension, cocharacter
-    basis). `arrows` holds exactly the arrows the Cech complex reads: the
-    identity arrow (S, S) of every proper S and the covering arrow
-    (S, S + {a}) whenever S + {a} is proper, each the projection matrix in
-    the two bases. `arrow(S, S')` returns the arrow of any nested pair,
-    computing the longer ones on demand through `killing_projection`. Arrow
-    composition is exact: arrow(S', S'') . arrow(S, S') == arrow(S, S'').
+    `arrows` holds exactly the arrows the Cech complex reads: the identity
+    arrow (S, S) of every proper S (its size is the dimension at S) and the
+    covering arrow (S, S + {a}) whenever S + {a} is proper, each the
+    projection matrix in the two bases. `arrow(S, S')` returns the arrow of
+    any nested pair, computing the longer ones on demand through
+    `killing_projection`. Arrow composition is exact:
+    arrow(S', S'') . arrow(S, S') == arrow(S, S'').
     """
 
     datum: RootDatum
-    spaces: dict[tuple[int, ...], tuple[int, IntMatrix]]
     arrows: dict[tuple[tuple[int, ...], tuple[int, ...]], RatMatrix]
 
     def arrow(self, s: tuple[int, ...], sp: tuple[int, ...]) -> RatMatrix:
@@ -104,8 +102,8 @@ class CenterDiagram:
 
 
 def build_center_diagram(d: RootDatum) -> CenterDiagram:
-    """Populate all spaces, the identity and the covering arrows; verify
-    functoriality on covering triangles.
+    """Populate the identity and the covering arrows; verify functoriality on
+    covering triangles.
 
     Each triangle S -> S + {a} -> S + {a, b} with a < b is checked against
     the long arrow S -> S + {a, b}. The other middle set S + {b} needs no
@@ -113,20 +111,15 @@ def build_center_diagram(d: RootDatum) -> CenterDiagram:
     exactly that both paths around the square agree.
     """
     n = d.rank
-    subsets = all_levi_subsets(n, proper=True)
-    spaces: dict[tuple[int, ...], tuple[int, IntMatrix]] = {}
-    for s in subsets:
-        c = center_of_levi(d, s)
-        spaces[s] = (c.dim, c.cochar_basis)
     arrows: dict[tuple[tuple[int, ...], tuple[int, ...]], RatMatrix] = {}
-    for s in subsets:
+    for s in all_levi_subsets(n, proper=True):
         arrows[(s, s)] = killing_projection(d, s, s)
         if len(s) + 1 < n:
             for a in range(1, n + 1):
                 if a not in s:
                     sp = tuple(sorted(s + (a,)))
                     arrows[(s, sp)] = killing_projection(d, s, sp)
-    diagram = CenterDiagram(d, spaces, arrows)
+    diagram = CenterDiagram(d, arrows)
     _check_chains(diagram, _covering_triangles(n))
     return diagram
 
@@ -263,7 +256,7 @@ def _row_homology(row: CechRow, n: int, rank_of) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@memoized
 def boundary_homology(d: RootDatum) -> BettiTable:
     """Rational Betti numbers of the boundary manifold.
 

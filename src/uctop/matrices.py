@@ -19,7 +19,6 @@ from typing import Iterator, Sequence
 __all__ = [
     "IntMatrix",
     "RatMatrix",
-    "SparseMatrix",
     "InvariantFactors",
     "SmithDecomposition",
     "snf",
@@ -264,9 +263,6 @@ class RatMatrix:
         num = tuple({k: self.num[i][j] for k, j in enumerate(cols) if j in self.num[i]}
                     for i in row_idx)
         return RatMatrix(len(num), len(cols), num, tuple(self.den[i] for i in row_idx))
-
-
-SparseMatrix = RatMatrix  # the same class under its former name
 
 
 @dataclass(frozen=True)

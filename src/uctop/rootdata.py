@@ -20,11 +20,11 @@ Conventions, fixed once for the whole library:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 from .matrices import IntMatrix, InvariantFactors, RatMatrix, snf
@@ -34,7 +34,6 @@ __all__ = [
     "RootDatum",
     "CenterData",
     "Form",
-    "LeviSet",
     "cartan_matrix",
     "build_datum",
     "center_of_levi",
@@ -46,8 +45,6 @@ __all__ = [
     "proper_pi0_witness",
     "all_levi_subsets",
 ]
-
-LeviSet = frozenset[int]
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -157,10 +154,14 @@ def weyl_order(t: CartanType) -> int:
 
 @dataclass(frozen=True)
 class RootDatum:
-    """Cartan type plus a character-lattice basis in fundamental-weight coordinates."""
+    """Cartan type plus a character-lattice basis in fundamental-weight coordinates.
+
+    What is computed from a datum is cached on it and freed with it; equal
+    datums built separately do not share a cache."""
 
     cartan_type: CartanType
     char_lattice: IntMatrix
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -174,6 +175,17 @@ class RootDatum:
     def is_simply_connected(self) -> bool:
         """True when the character lattice is the full weight lattice (any basis)."""
         return abs(self.char_lattice.to_rational().det()) == 1
+
+
+def memoized(fn):
+    """Cache fn(d, *args) on the datum d, so the value lives exactly as long as d."""
+
+    @functools.wraps(fn)
+    def cached(d: RootDatum, *args):
+        key = (fn, *args)
+        return d._memo[key] if key in d._memo else d._memo.setdefault(key, fn(d, *args))
+
+    return cached
 
 
 def build_datum(t: CartanType, isogeny: str | IntMatrix) -> RootDatum:
@@ -197,7 +209,7 @@ def build_datum(t: CartanType, isogeny: str | IntMatrix) -> RootDatum:
     return d
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _roots_in_basis(d: RootDatum) -> IntMatrix:
     """R = A . L^(-1): row i writes the simple root alpha_i in the char-lattice basis.
 
@@ -245,7 +257,7 @@ def levi_root_matrix(d: RootDatum, levi: Iterable[int]) -> IntMatrix:
     return IntMatrix.from_rows([r.row(i - 1) for i in _normalize_levi(d, levi)], cols=d.rank)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _center_of_levi_cached(d: RootDatum, s: tuple[int, ...]) -> CenterData:
     dec = snf(levi_root_matrix(d, s))
     if dec.rank != len(s):
@@ -282,7 +294,6 @@ class Form:
                 raise ValueError("Gram matrix must be positive definite")
 
 
-@lru_cache(maxsize=None)
 def invariant_form(d: RootDatum) -> Form:
     """Invariant form as the minimally symmetrized Cartan matrix, per factor.
 
@@ -325,7 +336,7 @@ def _block_symmetrizer(a: list[list[int]], off: int, rk: int) -> list[int]:
     return [v // g for v in nums]
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _dual_gram(d: RootDatum) -> IntMatrix:
     """Gram matrix rewritten in the basis dual to the char-lattice rows.
 
@@ -338,7 +349,7 @@ def _dual_gram(d: RootDatum) -> IntMatrix:
     return m
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _projector(d: RootDatum, sp: tuple[int, ...]) -> tuple[IntMatrix, int]:
     """Orthogonal projection onto the cocharacter space of Z(L_{S'}).
 
@@ -350,14 +361,6 @@ def _projector(d: RootDatum, sp: tuple[int, ...]) -> tuple[IntMatrix, int]:
     bp = center_of_levi(d, sp).cochar_basis
     bp_t_g = bp.transpose().mul(_dual_gram(d))
     return bp_t_g.mul(bp).solve(bp_t_g)
-
-
-@lru_cache(maxsize=None)
-def _killing_projection_cached(
-    d: RootDatum, s: tuple[int, ...], sp: tuple[int, ...]
-) -> RatMatrix:
-    num, den = _projector(d, sp)
-    return num.mul(center_of_levi(d, s).cochar_basis).to_rational(den)
 
 
 def killing_projection(
@@ -374,7 +377,8 @@ def killing_projection(
     sp = _normalize_levi(d, levi_prime)
     if not set(s) <= set(sp):
         raise ValueError(f"Levi set {s} is not contained in {sp}")
-    return _killing_projection_cached(d, s, sp)
+    num, den = _projector(d, sp)
+    return num.mul(center_of_levi(d, s).cochar_basis).to_rational(den)
 
 
 def all_levi_subsets(n: int, proper: bool = False) -> list[tuple[int, ...]]:

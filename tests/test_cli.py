@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from uctop.cli import GroupSpec, main, parse_spec
 from uctop.errors import FunctorialityViolation, GroupSpecError
 from uctop.matrices import IntMatrix
-from uctop.rootdata import CartanType
+from uctop.rootdata import CartanType, build_datum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -281,25 +281,53 @@ def test_check_failure_exits_1(capsys, monkeypatch):
     [
         ("_check_chains", "projection functoriality over chains"),
         ("_check_square_zero", "cech differentials square to zero"),
+        ("_betti_from_complex", "boundary homology is the odd sphere"),
     ],
 )
 def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
+    import uctop.cli as cli
     from uctop import homology
 
-    def broken(*args):
-        raise FunctorialityViolation(f"rigged {guard}")
+    if guard == "_betti_from_complex":
+        # a boundary that is not S^5 trips the assembly guard
+        def broken(*args, **kwargs):
+            return homology.BettiTable((1, 0, 1))
 
+        monkeypatch.setattr(cli, guard, broken)
+        error = "boundary homology is not the expected odd sphere; assembly premises are violated"
+        detail, skips, reason = "betti [1, 0, 1]", 5, "needs the assembly"
+    else:
+        def broken(*args):
+            raise FunctorialityViolation(f"rigged {guard}")
+
+        error = detail = f"rigged {guard}"
+        skips = 10 if guard == "_check_chains" else 9
+        reason = "needs the Cech complex"
     monkeypatch.setattr(homology, guard, broken)
-    homology.boundary_homology.cache_clear()
-    assert run_cli(capsys, "jgbetti", "A3:adjoint") == (1, "", f"error: rigged {guard}\n")
+    assert run_cli(capsys, "jgbetti", "A3:adjoint") == (1, "", f"error: {error}\n")
     code, out, _ = run_cli(capsys, "check", "A3:adjoint")
     lines = out.splitlines()
     assert code == 1
-    assert [x for x in lines if x.startswith("FAIL")] == [f"FAIL {item} (rigged {guard})"]
+    assert [x for x in lines if x.startswith("FAIL")] == [f"FAIL {item} ({detail})"]
     skipped = [x for x in lines if x.startswith("SKIP")]
-    assert len(skipped) == (10 if guard == "_check_chains" else 9)
-    assert all(x.endswith(" (needs the Cech complex)") for x in skipped)
+    assert len(skipped) == skips
+    assert all(x.endswith(f" ({reason})") for x in skipped)
     assert skipped[-1].startswith("SKIP refusal contract: no witness")
+
+
+def test_lattice_datum_is_built_once_per_call(capsys, monkeypatch):
+    import uctop.cli as cli
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return build_datum(*args)
+
+    monkeypatch.setattr(cli, "build_datum", counted)
+    code, out, _ = run_cli(capsys, "count", "A3:lattice=[[1,0,1],[0,1,0],[2,0,0]]")
+    assert code == 0 and out
+    assert len(built) == 1
 
 
 def test_max_rank_override(capsys):

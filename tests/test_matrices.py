@@ -15,7 +15,6 @@ from uctop.matrices import (
     IntMatrix,
     InvariantFactors,
     RatMatrix,
-    SparseMatrix,
     compound,
     rank,
     rank_mod_p,
@@ -210,7 +209,7 @@ def test_rank_mod_p_against_naive_elimination():
     for _ in range(300):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         rows = _random_sparse_rows(rng, nr, nc, rng.choice((0.2, 0.4, 0.7)))
-        m = SparseMatrix.from_rows(rows, cols=nc)
+        m = RatMatrix.from_rows(rows, cols=nc)
         want = naive_rank(rows)
         assert rank(m) == want, rows
         # denominators are 1..4, so 12 clears them all
@@ -244,7 +243,7 @@ def test_sparse_matrix_agrees_with_dense():
         a, b, c = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
         f_rows = _random_sparse_rows(rng, b, a, 0.4)
         g_rows = _random_sparse_rows(rng, c, b, 0.4)
-        f, g = SparseMatrix.from_rows(f_rows, cols=a), SparseMatrix.from_rows(g_rows, cols=b)
+        f, g = RatMatrix.from_rows(f_rows, cols=a), RatMatrix.from_rows(g_rows, cols=b)
         want = _naive_product(g_rows, f_rows, a)
         assert f.to_lists() == [[Fraction(e) for e in row] for row in f_rows]
         assert f.entries == tuple(Fraction(e) for row in f_rows for e in row)
@@ -253,19 +252,19 @@ def test_sparse_matrix_agrees_with_dense():
         assert gf.to_lists() == want
         assert gf.entries == tuple(e for row in want for e in row)
         assert gf.is_zero() == all(e == 0 for row in want for e in row)
-        assert gf == SparseMatrix.from_rows(want, cols=a)
+        assert gf == RatMatrix.from_rows(want, cols=a)
         assert rank(gf) == naive_rank(want)
 
 
 def test_sparse_matrix_rows_in_lowest_terms():
-    m = SparseMatrix(2, 3, ({0: 4, 2: -6}, {1: 0}), (-8, 5))
+    m = RatMatrix(2, 3, ({0: 4, 2: -6}, {1: 0}), (-8, 5))
     assert m.num == ({0: -2, 2: 3}, {})
     assert m.den == (4, 1)
     assert m.row(0) == (Fraction(-1, 2), Fraction(0), Fraction(3, 4))
     with pytest.raises(ValueError):
-        SparseMatrix(1, 2, ({2: 1},), (1,))
+        RatMatrix(1, 2, ({2: 1},), (1,))
     with pytest.raises(ValueError):
-        SparseMatrix(1, 2, ({0: 1},), (0,))
+        RatMatrix(1, 2, ({0: 1},), (0,))
 
 
 def test_int_solve_matches_rational_inverse():

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from uctop import rootdata
 from uctop.matrices import IntMatrix, RatMatrix, rank
 from uctop.rootdata import (
     CartanType,
@@ -446,3 +451,45 @@ def test_center_data_caching_is_value_stable():
     d2 = build_datum(ct(("A", 3)), "sc")
     assert center_of_levi(d1, (1, 3)) == center_of_levi(d2, frozenset((3, 1)))
     assert killing_projection(d1, (), (1,)) == killing_projection(d2, (), (1,))
+
+
+def test_cached_results_are_freed_with_their_datum():
+    d = build_datum(ct(("A", 3)), IntMatrix.from_rows([[1, 0, 1], [0, 1, 0], [2, 0, 0]]))
+    center = weakref.ref(center_of_levi(d, (1,)))
+    projector = weakref.ref(rootdata._projector(d, (1,))[0])
+    assert center() is not None and projector() is not None  # held by d
+    del d
+    gc.collect()
+    assert center() is None and projector() is None
+
+
+def test_center_of_levi_is_cached_on_its_datum():
+    d = build_datum(ct(("B", 3)), "sc")
+    assert center_of_levi(d, (1, 3)) is center_of_levi(d, frozenset((3, 1)))
+    twin = build_datum(ct(("B", 3)), "sc")
+    assert twin == d and center_of_levi(twin, (1, 3)) is not center_of_levi(d, (1, 3))
+
+
+def test_threads_sharing_a_datum_get_one_cached_object():
+    d = build_datum(ct(("E", 6)), "sc")
+    subsets = all_levi_subsets(6)
+    seen = [[] for _ in range(8)]
+    start = threading.Barrier(len(seen))
+
+    def work(out):
+        start.wait(timeout=60)
+        out.extend(center_of_levi(d, s) for s in subsets)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in seen]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for column in zip(*seen):
+        assert all(c is column[0] for c in column)
