@@ -22,7 +22,13 @@ from fractions import Fraction
 
 from .assembly import _attach_handles, universal_centralizer_homology
 from .counting import e_polynomial, point_count_poly, poincare_from_purity
-from .errors import FunctorialityViolation, GroupSpecError, NontrivialPi0, UctopError
+from .errors import (
+    FunctorialityViolation,
+    GroupSpecError,
+    NontrivialPi0,
+    UctopError,
+    format_levi,
+)
 from .homology import (
     _betti_from_complex,
     _check_chains,
@@ -196,10 +202,6 @@ class Report:
         return "\n".join(self.table_lines)
 
 
-def _levi_str(s) -> str:
-    return "{" + ",".join(str(i) for i in sorted(s)) + "}"
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -233,7 +235,7 @@ def _cmd_pi0(spec: GroupSpec, d: RootDatum, args) -> Report:
     lines = []
     for row in table:
         torsion = " x ".join(f"Z/{f}" for f in row["factors"]) or "trivial"
-        lines.append(f"S = {_levi_str(row['levi'])}: {torsion} (order {row['order']})")
+        lines.append(f"S = {format_levi(row['levi'])}: {torsion} (order {row['order']})")
     return Report("pi0", spec, {"pi0": table}, lines)
 
 
@@ -521,7 +523,7 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         run(complex_checks, skip=complex_skip)
         run(assembly_checks, skip=assembly_skip)
     else:
-        detail = f"refused at S = {_levi_str(witness)}"
+        detail = f"refused at S = {format_levi(witness)}"
         run(complex_checks + assembly_checks, skip=detail)
         refused = False
         try:

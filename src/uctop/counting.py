@@ -1,10 +1,16 @@
 """Point counts over finite fields, E-polynomials and purity Poincare polynomials.
 
 The count is a polynomial identity in q: q^n times the sum, over all subsets
-S of the simple roots, of |pi0(Z(L_S))| (q-1)^(n-|S|). The E-polynomial is
-the same polynomial read in the variable uv, and under purity the Poincare
-polynomial is recovered by substituting u = v = -1/t and multiplying by
-t^(4n).
+S of the simple roots, of |pi0(Z(L_S))| (q-1)^(n-|S|). Since |pi0(Z(L_S))|
+counts the classes of X/Q (X the character lattice, Q the root lattice)
+whose support lies in S, the sum collapses to one term per class:
+
+    count(q)  =  sum over lambda in X/Q of  q^(2n - |supp lambda|),
+
+read from the support histogram of `quotient_supports`, with no Smith form
+and no loop over the 2^n sets S. The E-polynomial is the same polynomial
+read in the variable uv, and under purity the Poincare polynomial is
+recovered by substituting u = v = -1/t and multiplying by t^(4n).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NegativeCoefficient, NonPolynomialResult
-from .rootdata import RootDatum, all_levi_subsets, center_of_levi
+from .rootdata import RootDatum, quotient_supports
 
 __all__ = [
     "QPolynomial",
@@ -31,26 +37,6 @@ def _trim(coeffs) -> tuple[int, ...]:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(int(c) for c in cs)
-
-
-def _padd(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 @dataclass(frozen=True)
@@ -87,18 +73,8 @@ class TPolynomial(QPolynomial):
 
 def point_count_poly(d: RootDatum) -> QPolynomial:
     """Number of points over F_q as a polynomial in q (monic, degree 2n)."""
-    n = d.rank
-    q_minus_1 = [-1, 1]
-    powers = [[1]]
-    for _ in range(n):
-        powers.append(_pmul(powers[-1], q_minus_1))
-    total: list[int] = []
-    for s in all_levi_subsets(n):
-        weight = center_of_levi(d, s).pi0.order()
-        term = powers[n - len(s)]
-        total = _padd(total, [weight * c for c in term])
-    shifted = [0] * n + total  # multiply by q^n
-    return QPolynomial(tuple(shifted))
+    sizes = quotient_supports(d).sizes  # sizes[k] classes give q^(2n - k)
+    return QPolynomial((0,) * d.rank + sizes[::-1])
 
 
 def e_polynomial(d: RootDatum) -> QPolynomial:

@@ -12,6 +12,11 @@ __all__ = [
 ]
 
 
+def format_levi(levi) -> str:
+    """A Levi set as it appears in messages, e.g. "{1,3}"."""
+    return "{" + ",".join(str(i) for i in sorted(levi)) + "}"
+
+
 class UctopError(Exception):
     """Base class for all library errors."""
 
@@ -38,10 +43,9 @@ class NontrivialPi0(UctopError):
     def __init__(self, levi: tuple[int, ...], factors: tuple[int, ...]):
         self.levi = tuple(levi)
         self.factors = tuple(factors)
-        levi_str = "{" + ",".join(str(i) for i in self.levi) + "}"
         torsion = " x ".join(f"Z/{f}" for f in self.factors)
         super().__init__(
-            f"component group of the Levi center at S = {levi_str} is "
+            f"component group of the Levi center at S = {format_levi(self.levi)} is "
             f"nontrivial ({torsion}); this case is refused"
         )
 

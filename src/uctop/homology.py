@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import FunctorialityViolation, NontrivialPi0
+from .errors import FunctorialityViolation, NontrivialPi0, UctopError, format_levi
 from .matrices import (
     RatMatrix,
     _subset_index,
@@ -88,17 +88,23 @@ class CenterDiagram:
     arrow (S, S) of every proper S (its size is the dimension at S) and the
     covering arrow (S, S + {a}) whenever S + {a} is proper, each the
     projection matrix in the two bases. `arrow(S, S')` returns the arrow of
-    any nested pair, computing the longer ones on demand through
-    `killing_projection`. Arrow composition is exact:
+    any nested pair, computing each longer one through `killing_projection`
+    the first time it is asked for and keeping it apart from `arrows`.
+    Arrow composition is exact:
     arrow(S', S'') . arrow(S, S') == arrow(S, S'').
     """
 
     datum: RootDatum
     arrows: dict[tuple[tuple[int, ...], tuple[int, ...]], RatMatrix]
+    _long: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def arrow(self, s: tuple[int, ...], sp: tuple[int, ...]) -> RatMatrix:
-        m = self.arrows.get((s, sp))
-        return killing_projection(self.datum, s, sp) if m is None else m
+        key = (s, sp)
+        if key in self.arrows:
+            return self.arrows[key]
+        if key not in self._long:
+            self._long[key] = killing_projection(self.datum, s, sp)
+        return self._long[key]
 
 
 def build_center_diagram(d: RootDatum) -> CenterDiagram:
@@ -263,11 +269,27 @@ def boundary_homology(d: RootDatum) -> BettiTable:
     Requires every proper Levi center to be connected (trivial pi0); raises
     NontrivialPi0 naming a witness subset otherwise, because the stalk
     identification used by this computation fails there.
+
+    The witness comes from X/Q and the component groups from Levi SNFs, and
+    the two routes are compared wherever the SNFs are computed anyway: at the
+    witness on refusal, and at every proper S, whose cocharacter basis the
+    diagram reads, otherwise. A disagreement raises UctopError.
     """
     witness = proper_pi0_witness(d)
     if witness is not None:
         factors = center_of_levi(d, witness).pi0.factors
+        if not factors:
+            raise UctopError(
+                f"X/Q names S = {format_levi(witness)} as a witness, but its "
+                "Levi center has trivial pi0"
+            )
         raise NontrivialPi0(witness, factors)
+    for s in all_levi_subsets(d.rank, proper=True):
+        if not center_of_levi(d, s).pi0.is_trivial():
+            raise UctopError(
+                f"X/Q finds no witness, but the Levi center at S = {format_levi(s)} "
+                "has nontrivial pi0"
+            )
     complex_ = build_cech_complex(build_center_diagram(d))
     return _betti_from_complex(complex_)
 

@@ -43,6 +43,8 @@ __all__ = [
     "weyl_order",
     "levi_root_matrix",
     "proper_pi0_witness",
+    "QuotientSupports",
+    "quotient_supports",
     "all_levi_subsets",
 ]
 
@@ -390,9 +392,75 @@ def all_levi_subsets(n: int, proper: bool = False) -> list[tuple[int, ...]]:
     return out
 
 
+@dataclass(frozen=True)
+class QuotientSupports:
+    """Support sizes of the classes of X/Q (X the character lattice, Q the
+    root lattice).
+
+    The support of a class is the set of simple roots at which its
+    simple-root coordinates are not integers. `sizes[k]` counts the classes
+    whose support has k elements, and `witness` is the least nonempty proper
+    support by (size, lex), or None when there is none.
+    """
+
+    sizes: tuple[int, ...]
+    witness: tuple[int, ...] | None
+
+
+def _class_supports(d: RootDatum) -> list[int]:
+    """The support of every class of X/Q as a bitmask (bit i - 1 for alpha_i).
+
+    One fraction-free solve gives R^(-T) = N / den for R = `_roots_in_basis`.
+    A character x (column, char-lattice basis) has simple-root coordinates
+    N x / den, so x -> N x mod den has kernel exactly Q: X/Q is the subgroup
+    of (Z/den)^n spanned by the columns of N mod den, and a class's support
+    is the set of its nonzero coordinates.
+    """
+    n = d.rank
+    num, den = _roots_in_basis(d).transpose().solve(IntMatrix.identity(n))
+    zero = (0,) * n
+    elements, seen = [zero], {zero}
+    for j in range(n):
+        g = tuple(v % den for v in num.column(j))
+        # H + <g> is the union of the cosets H + k g, for k up to the first
+        # multiple of g that lands in a coset already listed
+        subgroup, step = list(elements), g
+        while step not in seen:
+            for h in subgroup:
+                x = tuple((a + b) % den for a, b in zip(h, step))
+                seen.add(x)
+                elements.append(x)
+            step = tuple((a + b) % den for a, b in zip(step, g))
+    return [sum(1 << i for i, v in enumerate(x) if v) for x in elements]
+
+
+@memoized
+def quotient_supports(d: RootDatum) -> QuotientSupports:
+    """Support-size histogram and least proper support of X/Q; no SNF.
+
+    |pi0(Z(L_S))| is the number of classes whose support lies in S, since
+    the torsion of X / ZPhi_S maps injectively into X/Q (Q meets QPhi_S in
+    ZPhi_S) onto exactly those classes. |X/Q| = |det R| <= 2^n.
+    """
+    n = d.rank
+    full = (1 << n) - 1
+    sizes = [0] * (n + 1)
+    witness = None
+    for mask in _class_supports(d):
+        sizes[mask.bit_count()] += 1
+        if mask and mask != full:
+            s = tuple(i + 1 for i in range(n) if mask >> i & 1)
+            if witness is None or (len(s), s) < (len(witness), witness):
+                witness = s
+    return QuotientSupports(tuple(sizes), witness)
+
+
 def proper_pi0_witness(d: RootDatum) -> tuple[int, ...] | None:
-    """First proper Levi set (by size, then lex) whose center has nontrivial pi0."""
-    for s in all_levi_subsets(d.rank, proper=True):
-        if not center_of_levi(d, s).pi0.is_trivial():
-            return s
-    return None
+    """First proper Levi set (by size, then lex) whose center has nontrivial pi0.
+
+    Read from X/Q without an SNF: it is the (size, lex)-least nonempty
+    proper support of a class. A set S has nontrivial pi0 exactly when it
+    contains the support T of a nonzero class, and then |S| >= |T|, with
+    equality only for S = T.
+    """
+    return quotient_supports(d).witness

@@ -388,6 +388,32 @@ def test_check_compares_each_chain_once(capsys, monkeypatch, spec):
     assert sorted(seen) == sorted(want)
 
 
+@pytest.mark.parametrize("spec", ["A4:sc", "A5:adjoint"])
+def test_check_projects_each_nested_pair_once(capsys, monkeypatch, spec):
+    import uctop.cli as cli
+    from uctop import homology
+    from uctop.rootdata import killing_projection
+
+    calls = []
+
+    def counting(d, s, sp):
+        calls.append((tuple(s), tuple(sp)))
+        return killing_projection(d, s, sp)
+
+    monkeypatch.setattr(homology, "killing_projection", counting)
+    monkeypatch.setattr(cli, "killing_projection", counting)
+    code, out, _ = run_cli(capsys, "check", spec)
+    assert code == 0 and "0 failed" in out
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_count_on_the_pinned_basis_matches_the_weight_lattice(capsys):
+    catalogue = json.loads((ROOT / "bench" / "data" / "lattices.json").read_text())
+    (pinned,) = catalogue["pinned"]
+    assert pinned["golden"] == "count A9:sc --max-rank=9"
+    assert run_cli(capsys, *pinned["argv"]) == run_cli(capsys, "count", "A9:sc", "--max-rank=9")
+
+
 def test_slow_gate_message(capsys):
     code, _, err = run_cli(capsys, "cgbetti", "E8:adjoint")
     assert code == 1

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from uctop import homology
-from uctop.errors import FunctorialityViolation, NontrivialPi0
+from uctop.errors import FunctorialityViolation, NontrivialPi0, UctopError
 from uctop.homology import (
     EXACT_RATIONAL,
     MOD_P_CERTIFIED,
@@ -265,6 +265,25 @@ def test_boundary_homology_refusals():
     with pytest.raises(NontrivialPi0) as err:
         boundary_homology(build_datum(ct(("D", 4)), so8))
     assert err.value.levi == (3, 4)
+
+
+def test_boundary_homology_compares_the_witness_with_the_levi_snfs(monkeypatch):
+    # X/Q names a witness whose SNF finds a connected center
+    monkeypatch.setattr(homology, "proper_pi0_witness", lambda d: (1,))
+    with pytest.raises(UctopError) as err:
+        boundary_homology(build_datum(ct(("A", 2)), "adjoint"))
+    assert type(err.value) is UctopError
+    assert str(err.value) == (
+        "X/Q names S = {1} as a witness, but its Levi center has trivial pi0"
+    )
+    # X/Q finds no witness where an SNF finds a disconnected proper center
+    monkeypatch.setattr(homology, "proper_pi0_witness", lambda d: None)
+    with pytest.raises(UctopError) as err:
+        boundary_homology(build_datum(ct(("A", 3)), "sc"))
+    assert type(err.value) is UctopError
+    assert str(err.value) == (
+        "X/Q finds no witness, but the Levi center at S = {1,3} has nontrivial pi0"
+    )
 
 
 def test_row_order_independence():
