@@ -11,9 +11,9 @@ leaves |Z| - 1 independent cycles in degree 2n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Frozen, setfield
 from .counting import poincare_from_purity
 from .errors import UctopError
 from .homology import BettiTable, boundary_homology
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AssemblyReport:
+class AssemblyReport(Frozen):
     """Outcome of the handle assembly.
 
     `betti` grades the rational homology of the universal centralizer,
@@ -38,11 +37,23 @@ class AssemblyReport:
     purity-predicted Poincare polynomial.
     """
 
-    betti: BettiTable
-    cells_attached: int
-    boundary_rank: int
-    intersection_number: Fraction
-    purity_match: bool
+    __slots__ = _fields = (
+        "betti", "cells_attached", "boundary_rank", "intersection_number", "purity_match"
+    )
+
+    def __init__(
+        self,
+        betti: BettiTable,
+        cells_attached: int,
+        boundary_rank: int,
+        intersection_number: Fraction,
+        purity_match: bool,
+    ) -> None:
+        setfield(self, "betti", betti)
+        setfield(self, "cells_attached", cells_attached)
+        setfield(self, "boundary_rank", boundary_rank)
+        setfield(self, "intersection_number", intersection_number)
+        setfield(self, "purity_match", purity_match)
 
 
 def intersection_number(d: RootDatum) -> Fraction:

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._value import Frozen, Value, setfield
 from .assembly import _attach_handles, universal_centralizer_homology
 from .counting import e_polynomial, point_count_poly, poincare_from_purity
 from .errors import (
@@ -61,27 +60,32 @@ COMMANDS = ("info", "pi0", "count", "epoly", "poincare", "cgbetti", "jgbetti", "
 _LETTERS = "ABCDEFG"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Frozen):
     """A parsed group spec; `canonical` re-parses to the same datum."""
 
-    raw: str
-    cartan_type: CartanType
-    isogeny: str | IntMatrix
-    _datum: RootDatum | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("raw", "cartan_type", "isogeny")
+    __slots__ = _fields + ("_datum",)
+
+    def __init__(self, raw: str, cartan_type: CartanType, isogeny: str | IntMatrix) -> None:
+        setfield(self, "raw", raw)
+        setfield(self, "cartan_type", cartan_type)
+        setfield(self, "isogeny", isogeny)
+        setfield(self, "_datum", None)
 
     @property
     def canonical(self) -> str:
         if isinstance(self.isogeny, str):
             iso = self.isogeny
         else:
+            import json  # only lattice specs carry JSON
+
             rows = self.isogeny.to_lists()
             iso = "lattice=" + json.dumps(rows, separators=(",", ":"))
         return f"{self.cartan_type}:{iso}"
 
     def datum(self) -> RootDatum:
         if self._datum is None:  # built once, so every caller shares its cached results
-            object.__setattr__(self, "_datum", build_datum(self.cartan_type, self.isogeny))
+            setfield(self, "_datum", build_datum(self.cartan_type, self.isogeny))
         return self._datum
 
 
@@ -157,6 +161,8 @@ def _parse_isogeny_part(compact: str, pos: int, n: int) -> str | IntMatrix:
     if low == "sc":
         return "sc"
     if low.startswith("lattice="):
+        import json  # loaded only for the specs that carry JSON
+
         payload = part[len("lattice=") :]
         try:
             rows = json.loads(payload)
@@ -183,17 +189,28 @@ def _parse_isogeny_part(compact: str, pos: int, n: int) -> str | IntMatrix:
     )
 
 
-@dataclass
-class Report:
+class Report(Value):
     """Structured result of one CLI invocation."""
 
-    command: str
-    spec: GroupSpec
-    sections: dict
-    table_lines: list[str]
-    exit_code: int = 0
+    __slots__ = _fields = ("command", "spec", "sections", "table_lines", "exit_code")
+
+    def __init__(
+        self,
+        command: str,
+        spec: GroupSpec,
+        sections: dict,
+        table_lines: list[str],
+        exit_code: int = 0,
+    ) -> None:
+        self.command = command
+        self.spec = spec
+        self.sections = sections
+        self.table_lines = table_lines
+        self.exit_code = exit_code
 
     def to_json(self) -> str:
+        import json  # loaded only under --format=json
+
         payload = {"command": self.command, "spec": self.spec.canonical}
         payload.update(self.sections)
         return json.dumps(payload, indent=2)

@@ -15,9 +15,9 @@ recovered by substituting u = v = -1/t and multiplying by t^(4n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Frozen, setfield
 from .errors import NegativeCoefficient, NonPolynomialResult
 from .rootdata import RootDatum, quotient_supports
 
@@ -39,15 +39,14 @@ def _trim(coeffs) -> tuple[int, ...]:
     return tuple(int(c) for c in cs)
 
 
-@dataclass(frozen=True)
-class QPolynomial:
+class QPolynomial(Frozen):
     """Integer polynomial in q; `variable` is "q" or "uv" (with q = uv)."""
 
-    coeffs: tuple[int, ...]
-    variable: str = "q"
+    __slots__ = _fields = ("coeffs", "variable")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+    def __init__(self, coeffs: tuple[int, ...], variable: str = "q") -> None:
+        setfield(self, "coeffs", _trim(coeffs))
+        setfield(self, "variable", variable)
 
     @property
     def degree(self) -> int:
@@ -64,11 +63,13 @@ class QPolynomial:
         return format_poly(self.coeffs, self.variable)
 
 
-@dataclass(frozen=True)
 class TPolynomial(QPolynomial):
     """Integer polynomial in t (graded Betti data when produced by purity)."""
 
-    variable: str = "t"
+    __slots__ = ()
+
+    def __init__(self, coeffs: tuple[int, ...], variable: str = "t") -> None:
+        super().__init__(coeffs, variable)
 
 
 def point_count_poly(d: RootDatum) -> QPolynomial:

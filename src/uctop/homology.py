@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
+from ._value import Frozen, Value, setfield
 from .errors import FunctorialityViolation, NontrivialPi0, UctopError, format_levi
 from .matrices import (
     RatMatrix,
@@ -51,19 +51,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Frozen):
     """Graded dimensions of rational homology, trailing zeros trimmed."""
 
-    betti: tuple[int, ...]
+    __slots__ = _fields = ("betti",)
 
-    def __post_init__(self) -> None:
-        bs = list(self.betti)
+    def __init__(self, betti: tuple[int, ...]) -> None:
+        bs = list(betti)
         while bs and bs[-1] == 0:
             bs.pop()
         if any(b < 0 for b in bs):
             raise ValueError("Betti numbers must be nonnegative")
-        object.__setattr__(self, "betti", tuple(bs))
+        setfield(self, "betti", tuple(bs))
 
     @classmethod
     def sphere(cls, dim: int) -> BettiTable:
@@ -79,8 +78,7 @@ class BettiTable:
         return sum(self.betti)
 
 
-@dataclass
-class CenterDiagram:
+class CenterDiagram(Value):
     """Projection arrows between Levi-center cocharacter spaces, over S
     properly inside Pi ordered by inclusion.
 
@@ -94,9 +92,15 @@ class CenterDiagram:
     arrow(S', S'') . arrow(S, S') == arrow(S, S'').
     """
 
-    datum: RootDatum
-    arrows: dict[tuple[tuple[int, ...], tuple[int, ...]], RatMatrix]
-    _long: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("datum", "arrows")
+    __slots__ = _fields + ("_long",)
+
+    def __init__(
+        self, datum: RootDatum, arrows: dict[tuple[tuple[int, ...], tuple[int, ...]], RatMatrix]
+    ) -> None:
+        self.datum = datum
+        self.arrows = arrows
+        self._long = {}
 
     def arrow(self, s: tuple[int, ...], sp: tuple[int, ...]) -> RatMatrix:
         key = (s, sp)
@@ -152,8 +156,7 @@ def _check_chains(diagram: CenterDiagram, chains) -> None:
             )
 
 
-@dataclass
-class CechRow:
+class CechRow(Value):
     """One exterior degree w of the Cech complex.
 
     `blocks[p]` lists the nonempty index sets A with |A| = p + 1 in
@@ -161,18 +164,29 @@ class CechRow:
     `diffs[p]` (for p >= 1) is the sparse differential term_p -> term_(p-1).
     """
 
-    w: int
-    blocks: list[list[tuple[int, ...]]]
-    dims: list[int]
-    diffs: dict[int, RatMatrix]
+    __slots__ = _fields = ("w", "blocks", "dims", "diffs")
+
+    def __init__(
+        self,
+        w: int,
+        blocks: list[list[tuple[int, ...]]],
+        dims: list[int],
+        diffs: dict[int, RatMatrix],
+    ) -> None:
+        self.w = w
+        self.blocks = blocks
+        self.dims = dims
+        self.diffs = diffs
 
 
-@dataclass
-class CechComplex:
+class CechComplex(Value):
     """Rows of chain complexes indexed by exterior degree w = 0..n."""
 
-    n: int
-    rows: list[CechRow]
+    __slots__ = _fields = ("n", "rows")
+
+    def __init__(self, n: int, rows: list[CechRow]) -> None:
+        self.n = n
+        self.rows = rows
 
 
 def build_cech_complex(diagram: CenterDiagram) -> CechComplex:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
+
+from ._value import Frozen, setfield
 
 __all__ = [
     "IntMatrix",
@@ -29,21 +30,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable integer matrix, entries stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
@@ -139,8 +138,7 @@ def _width(rows: list[list], cols: int | None) -> int:
     return width
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(Frozen):
     """Immutable sparse rational matrix: integer rows over per-row denominators.
 
     Row i holds the value ``num[i][j] / den[i]`` at each column j in
@@ -152,30 +150,32 @@ class RatMatrix:
     The rows are dicts, so values are not hashable.
     """
 
-    rows: int
-    cols: int
-    num: tuple[dict[int, int], ...]
-    den: tuple[int, ...]
+    __slots__ = _fields = ("rows", "cols", "num", "den")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(
+        self, rows: int, cols: int, num: tuple[dict[int, int], ...], den: tuple[int, ...]
+    ) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.num) != self.rows or len(self.den) != self.rows:
-            raise ValueError(f"expected {self.rows} rows and denominators")
-        num, den = [], []
-        for row, d in zip(self.num, self.den):
+        if len(num) != rows or len(den) != rows:
+            raise ValueError(f"expected {rows} rows and denominators")
+        lowest, dens = [], []
+        for row, d in zip(num, den):
             if d == 0:
                 raise ValueError("row denominator must be nonzero")
-            if any(j < 0 or j >= self.cols for j in row):
+            if any(j < 0 or j >= cols for j in row):
                 raise ValueError("column index out of range")
             row = {j: v for j, v in row.items() if v}
             g = math.gcd(d, *row.values()) if row else abs(d)
             if d < 0:
                 g = -g
-            num.append({j: v // g for j, v in row.items()})
-            den.append(d // g)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", tuple(den))
+            lowest.append({j: v // g for j, v in row.items()})
+            dens.append(d // g)
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "num", tuple(lowest))
+        setfield(self, "den", tuple(dens))
 
     @classmethod
     def from_rows(
@@ -265,22 +265,22 @@ class RatMatrix:
         return RatMatrix(len(num), len(cols), num, tuple(self.den[i] for i in row_idx))
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(Frozen):
     """Nontrivial invariant factors of a finitely generated abelian group.
 
     Only factors >= 2 are kept (1's carry no torsion); consecutive factors
     satisfy the divisibility chain factors[i] | factors[i+1].
     """
 
-    factors: tuple[int, ...]
+    __slots__ = _fields = ("factors",)
 
-    def __post_init__(self) -> None:
-        if any(f < 2 for f in self.factors):
+    def __init__(self, factors: tuple[int, ...]) -> None:
+        if any(f < 2 for f in factors):
             raise ValueError("invariant factors must be >= 2")
-        for a, b in zip(self.factors, self.factors[1:]):
+        for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"divisibility chain violated: {a} does not divide {b}")
+        setfield(self, "factors", factors)
 
     def order(self) -> int:
         """Order of the torsion group (1 when there is no torsion)."""
@@ -290,13 +290,15 @@ class InvariantFactors:
         return not self.factors
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """Result of `snf`: torsion factors, integer kernel basis, rank."""
+class SmithDecomposition(Frozen):
+    """Result of `snf`: torsion factors, integer kernel basis (as columns), rank."""
 
-    factors: InvariantFactors
-    kernel: IntMatrix  # columns form a basis of the integer kernel
-    rank: int
+    __slots__ = _fields = ("factors", "kernel", "rank")
+
+    def __init__(self, factors: InvariantFactors, kernel: IntMatrix, rank: int) -> None:
+        setfield(self, "factors", factors)
+        setfield(self, "kernel", kernel)
+        setfield(self, "rank", rank)
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:

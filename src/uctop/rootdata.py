@@ -23,10 +23,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
+from ._value import Frozen, setfield
 from .matrices import IntMatrix, InvariantFactors, RatMatrix, snf
 
 __all__ = [
@@ -59,22 +59,22 @@ _RANK_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class CartanType:
+class CartanType(Frozen):
     """A product of simple Cartan types, e.g. (('A', 1), ('A', 2))."""
 
-    factors: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("factors",)
 
-    def __post_init__(self) -> None:
-        if not self.factors:
+    def __init__(self, factors: tuple[tuple[str, int], ...]) -> None:
+        if not factors:
             raise ValueError("a Cartan type needs at least one simple factor")
-        for letter, rk in self.factors:
+        for letter, rk in factors:
             if letter not in _RANK_BOUNDS:
                 raise ValueError(f"unknown Cartan letter {letter!r}")
             lo, hi = _RANK_BOUNDS[letter]
             if rk < lo or (hi is not None and rk > hi):
                 bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
                 raise ValueError(f"type {letter} requires rank {bound}, got {rk}")
+        setfield(self, "factors", factors)
 
     @property
     def rank(self) -> int:
@@ -154,16 +154,19 @@ def weyl_order(t: CartanType) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Frozen):
     """Cartan type plus a character-lattice basis in fundamental-weight coordinates.
 
     What is computed from a datum is cached on it and freed with it; equal
     datums built separately do not share a cache."""
 
-    cartan_type: CartanType
-    char_lattice: IntMatrix
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("cartan_type", "char_lattice")
+    __slots__ = _fields + ("_memo",)
+
+    def __init__(self, cartan_type: CartanType, char_lattice: IntMatrix) -> None:
+        setfield(self, "cartan_type", cartan_type)
+        setfield(self, "char_lattice", char_lattice)
+        setfield(self, "_memo", {})
 
     @property
     def rank(self) -> int:
@@ -231,8 +234,7 @@ def _roots_in_basis(d: RootDatum) -> IntMatrix:
     return x.transpose()
 
 
-@dataclass(frozen=True)
-class CenterData:
+class CenterData(Frozen):
     """Invariants of the center Z(L_S) of a standard Levi subgroup.
 
     `pi0` is the component group (as invariant factors), `cochar_basis` holds
@@ -240,9 +242,12 @@ class CenterData:
     dual to the char-lattice rows), and `dim` is its dimension n - |S|.
     """
 
-    pi0: InvariantFactors
-    cochar_basis: IntMatrix
-    dim: int
+    __slots__ = _fields = ("pi0", "cochar_basis", "dim")
+
+    def __init__(self, pi0: InvariantFactors, cochar_basis: IntMatrix, dim: int) -> None:
+        setfield(self, "pi0", pi0)
+        setfield(self, "cochar_basis", cochar_basis)
+        setfield(self, "dim", dim)
 
 
 def _normalize_levi(d: RootDatum, levi: Iterable[int]) -> tuple[int, ...]:
@@ -277,23 +282,22 @@ def center_order(d: RootDatum) -> int:
     return center_of_levi(d, range(1, d.rank + 1)).pi0.order()
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(Frozen):
     """Symmetric positive definite Gram matrix on the cocharacter space."""
 
-    gram: IntMatrix
+    __slots__ = _fields = ("gram",)
 
-    def __post_init__(self) -> None:
-        g = self.gram
-        if g.rows != g.cols:
+    def __init__(self, gram: IntMatrix) -> None:
+        if gram.rows != gram.cols:
             raise ValueError("Gram matrix must be square")
-        if g != g.transpose():
+        if gram != gram.transpose():
             raise ValueError("Gram matrix must be symmetric")
-        rat = g.to_rational()
-        for k in range(1, g.rows + 1):
+        rat = gram.to_rational()
+        for k in range(1, gram.rows + 1):
             idx = range(k)
             if rat.submatrix(idx, idx).det() <= 0:
                 raise ValueError("Gram matrix must be positive definite")
+        setfield(self, "gram", gram)
 
 
 def invariant_form(d: RootDatum) -> Form:
@@ -392,8 +396,7 @@ def all_levi_subsets(n: int, proper: bool = False) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class QuotientSupports:
+class QuotientSupports(Frozen):
     """Support sizes of the classes of X/Q (X the character lattice, Q the
     root lattice).
 
@@ -403,8 +406,11 @@ class QuotientSupports:
     support by (size, lex), or None when there is none.
     """
 
-    sizes: tuple[int, ...]
-    witness: tuple[int, ...] | None
+    __slots__ = _fields = ("sizes", "witness")
+
+    def __init__(self, sizes: tuple[int, ...], witness: tuple[int, ...] | None) -> None:
+        setfield(self, "sizes", sizes)
+        setfield(self, "witness", witness)
 
 
 def _class_supports(d: RootDatum) -> list[int]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -486,6 +487,52 @@ def test_oracles_stay_independent_of_the_library():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# run in a bare interpreter (-S: no site hooks) with PYTHONPATH=src; prints
+# main's output, then "#", whether json is loaded after main, and the
+# modules that importing the CLI added
+_IMPORT_PROBE = (
+    "import sys; pre = set(sys.modules); from uctop.cli import main; "
+    "new = set(sys.modules) - pre; rc = main(sys.argv[1:]); "
+    "print('#', 'json' in sys.modules, *sorted(new)); sys.exit(rc)"
+)
+
+
+def _import_probe(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    out, _, tail = proc.stdout.rpartition("# ")
+    json_loaded, *new = tail.split()
+    return proc.returncode, out, json_loaded == "True", set(new)
+
+
+def test_cli_import_stays_light():
+    # start-up cost: the CLI must not pull in dataclasses (with inspect, ast
+    # and dis behind it), typing, or json before a command needs JSON
+    golden = json.loads((ROOT / "bench" / "data" / "golden.json").read_text())
+    code, out, json_loaded, new = _import_probe("jgbetti", "D4:adjoint")
+    assert code == 0
+    assert out == golden["jgbetti D4:adjoint"]["out"]
+    assert not json_loaded
+    assert "uctop.cli" in new
+    assert not new & {"dataclasses", "inspect", "ast", "dis", "typing", "json"}
+    # commands that read or write JSON still load it and print the same bytes
+    code, out, json_loaded, _ = _import_probe("jgbetti", "D4:adjoint", "--format=json")
+    assert code == 0 and json_loaded
+    assert out == (
+        '{\n  "command": "jgbetti",\n  "spec": "D4:adjoint",\n  "betti": [\n    1\n  ],\n'
+        '  "cells_attached": 1,\n  "boundary_rank": 1,\n  "intersection_number": "192",\n'
+        '  "purity_match": true\n}\n'
+    )
+    key = next(k for k in golden if k.startswith("count D8:lattice="))
+    code, out, json_loaded, _ = _import_probe(*key.split())
+    assert code == golden[key]["rc"] == 0 and json_loaded
+    assert out == golden[key]["out"]
 
 
 def test_module_entry_point_runs():
