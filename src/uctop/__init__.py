@@ -11,7 +11,6 @@ against the purity prediction.
 from .assembly import AssemblyReport, intersection_number, universal_centralizer_homology
 from .counting import (
     QPolynomial,
-    TPolynomial,
     e_polynomial,
     format_poly,
     point_count_poly,
@@ -39,7 +38,6 @@ from .matrices import (
     IntMatrix,
     InvariantFactors,
     RatMatrix,
-    SmithDecomposition,
     compound,
     rank,
     snf,
@@ -47,7 +45,6 @@ from .matrices import (
 from .rootdata import (
     CartanType,
     CenterData,
-    Form,
     RootDatum,
     all_levi_subsets,
     build_datum,

@@ -18,7 +18,7 @@ import itertools
 import sys
 from fractions import Fraction
 
-from ._value import Frozen, Value, setfield
+from ._value import Frozen, setfield
 from .assembly import _attach_handles, universal_centralizer_homology
 from .counting import e_polynomial, point_count_poly, poincare_from_purity
 from .errors import (
@@ -53,9 +53,7 @@ from .rootdata import (
     weyl_order,
 )
 
-__all__ = ["GroupSpec", "Report", "parse_spec", "main", "entry"]
-
-COMMANDS = ("info", "pi0", "count", "epoly", "poincare", "cgbetti", "jgbetti", "check")
+__all__ = ["GroupSpec", "parse_spec", "main", "entry"]
 
 _LETTERS = "ABCDEFG"
 
@@ -189,41 +187,13 @@ def _parse_isogeny_part(compact: str, pos: int, n: int) -> str | IntMatrix:
     )
 
 
-class Report(Value):
-    """Structured result of one CLI invocation."""
-
-    __slots__ = _fields = ("command", "spec", "sections", "table_lines", "exit_code")
-
-    def __init__(
-        self,
-        command: str,
-        spec: GroupSpec,
-        sections: dict,
-        table_lines: list[str],
-        exit_code: int = 0,
-    ) -> None:
-        self.command = command
-        self.spec = spec
-        self.sections = sections
-        self.table_lines = table_lines
-        self.exit_code = exit_code
-
-    def to_json(self) -> str:
-        import json  # loaded only under --format=json
-
-        payload = {"command": self.command, "spec": self.spec.canonical}
-        payload.update(self.sections)
-        return json.dumps(payload, indent=2)
-
-    def to_table(self) -> str:
-        return "\n".join(self.table_lines)
-
-
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each returns its JSON sections and its table
+# lines; `main` puts "command" and "spec" before the sections in the JSON,
+# and exits 1 when sections["failed"] is set
 
 
-def _cmd_info(spec: GroupSpec, d: RootDatum, args) -> Report:
+def _cmd_info(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
     sections = {
         "rank": d.rank,
         "center_order": center_order(d),
@@ -235,10 +205,10 @@ def _cmd_info(spec: GroupSpec, d: RootDatum, args) -> Report:
         f"center order: {sections['center_order']}",
         f"weyl order: {sections['weyl_order']}",
     ]
-    return Report("info", spec, sections, lines)
+    return sections, lines
 
 
-def _cmd_pi0(spec: GroupSpec, d: RootDatum, args) -> Report:
+def _cmd_pi0(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
     if args.levi is not None:
         subsets = [tuple(args.levi)]
     else:
@@ -253,49 +223,35 @@ def _cmd_pi0(spec: GroupSpec, d: RootDatum, args) -> Report:
     for row in table:
         torsion = " x ".join(f"Z/{f}" for f in row["factors"]) or "trivial"
         lines.append(f"S = {format_levi(row['levi'])}: {torsion} (order {row['order']})")
-    return Report("pi0", spec, {"pi0": table}, lines)
+    return {"pi0": table}, lines
 
 
-def _cmd_count(spec: GroupSpec, d: RootDatum, args) -> Report:
+def _poly_sections(poly) -> dict:
+    return {"variable": poly.variable, "coeffs": list(poly.coeffs), "rendered": str(poly)}
+
+
+def _cmd_count(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
     poly = point_count_poly(d)
-    sections = {
-        "variable": poly.variable,
-        "coeffs": list(poly.coeffs),
-        "rendered": str(poly),
-    }
-    return Report("count", spec, sections, [str(poly)])
+    return _poly_sections(poly), [str(poly)]
 
 
-def _cmd_epoly(spec: GroupSpec, d: RootDatum, args) -> Report:
+def _cmd_epoly(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
     poly = e_polynomial(d)
-    sections = {
-        "variable": poly.variable,
-        "coeffs": list(poly.coeffs),
-        "rendered": str(poly),
-        "value_at_one": poly.evaluate(1),
-    }
-    return Report("epoly", spec, sections, [str(poly)])
+    return {**_poly_sections(poly), "value_at_one": poly.evaluate(1)}, [str(poly)]
 
 
-def _cmd_poincare(spec: GroupSpec, d: RootDatum, args) -> Report:
+def _cmd_poincare(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
     poly = poincare_from_purity(d)
-    sections = {
-        "variable": poly.variable,
-        "coeffs": list(poly.coeffs),
-        "rendered": str(poly),
-        "label": "purity-predicted",
-    }
-    return Report("poincare", spec, sections, [str(poly), "label: purity-predicted"])
+    label = "purity-predicted"
+    return {**_poly_sections(poly), "label": label}, [str(poly), f"label: {label}"]
 
 
-def _cmd_cgbetti(spec: GroupSpec, d: RootDatum, args) -> Report:
-    table = boundary_homology(d)
-    sections = {"betti": list(table.betti)}
-    lines = [f"betti: {list(table.betti)}"]
-    return Report("cgbetti", spec, sections, lines)
+def _cmd_cgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
+    betti = list(boundary_homology(d).betti)
+    return {"betti": betti}, [f"betti: {betti}"]
 
 
-def _cmd_jgbetti(spec: GroupSpec, d: RootDatum, args) -> Report:
+def _cmd_jgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
     report = universal_centralizer_homology(d)
     sections = {
         "betti": list(report.betti.betti),
@@ -305,16 +261,16 @@ def _cmd_jgbetti(spec: GroupSpec, d: RootDatum, args) -> Report:
         "purity_match": report.purity_match,
     }
     lines = [
-        f"betti: {list(report.betti.betti)}",
+        f"betti: {sections['betti']}",
         f"cells attached: {report.cells_attached}",
         f"boundary rank: {report.boundary_rank}",
         f"intersection number: {report.intersection_number}",
         f"purity match: {str(report.purity_match).lower()}",
     ]
-    return Report("jgbetti", spec, sections, lines)
+    return sections, lines
 
 
-def _cmd_check(spec: GroupSpec, d: RootDatum, args) -> Report:
+def _cmd_check(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
     items = _run_checks(d)
     table = [{"name": name, "status": status, "detail": detail} for name, status, detail in items]
     lines = []
@@ -327,8 +283,7 @@ def _cmd_check(spec: GroupSpec, d: RootDatum, args) -> Report:
         f"{sum(1 for _, s, _ in items if s == 'pass')} passed, {failed} failed, "
         f"{sum(1 for _, s, _ in items if s == 'skip')} skipped"
     )
-    sections = {"checks": table, "failed": failed}
-    return Report("check", spec, sections, lines, exit_code=1 if failed else 0)
+    return {"checks": table, "failed": failed}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +371,7 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         ],
         skip="rank > 4" if n > 4 else "",
     )
-    gram = invariant_form(d).gram
+    gram = invariant_form(d)
     add("invariant form is symmetric", gram == gram.transpose())
     add(
         "invariant form is positive definite",
@@ -568,18 +523,19 @@ def _check_substitution(e_coeffs, p_coeffs, n: int) -> bool:
 # argument handling
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "pi0": _cmd_pi0,
-    "count": _cmd_count,
-    "epoly": _cmd_epoly,
-    "poincare": _cmd_poincare,
-    "cgbetti": _cmd_cgbetti,
-    "jgbetti": _cmd_jgbetti,
-    "check": _cmd_check,
+# name -> (handler, help line, whether rank >= _SLOW_RANK needs --slow), in
+# the order `--help` lists them
+COMMANDS = {
+    "info": (_cmd_info, "rank, center order and Weyl group order", False),
+    "pi0": (_cmd_pi0, "component groups of the Levi centers", False),
+    "count": (_cmd_count, "point-count polynomial over F_q", False),
+    "epoly": (_cmd_epoly, "E-polynomial (the count read in uv)", False),
+    "poincare": (_cmd_poincare, "purity-predicted Poincare polynomial", False),
+    "cgbetti": (_cmd_cgbetti, "Betti table of the boundary manifold", True),
+    "jgbetti": (_cmd_jgbetti, "Betti table of the universal centralizer", True),
+    "check": (_cmd_check, "run the cross-module invariant battery", True),
 }
 
-_HOMOLOGY_COMMANDS = {"cgbetti", "jgbetti", "check"}
 
 _SLOW_RANK = 8
 
@@ -593,23 +549,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_COMMAND_HELP = {
-    "info": "rank, center order and Weyl group order",
-    "pi0": "component groups of the Levi centers",
-    "count": "point-count polynomial over F_q",
-    "epoly": "E-polynomial (the count read in uv)",
-    "poincare": "purity-predicted Poincare polynomial",
-    "cgbetti": "Betti table of the boundary manifold",
-    "jgbetti": "Betti table of the universal centralizer",
-    "check": "run the cross-module invariant battery",
-}
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="uctop", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=_COMMAND_HELP[name])
+    for name, (_, help_line, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("spec", help="group spec, e.g. A2:adjoint or A1xA2:sc")
         p.add_argument(
             "--format",
@@ -648,13 +592,13 @@ def _parse_levi_arg(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    try:
-        parts = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--levi expects a comma list of integers, got {text!r}"
-        ) from None
-    return tuple(sorted(set(parts)))
+    items = [x.strip() for x in text.split(",")]
+    try:  # decimal digits only, as for ranks in a spec: no sign, no '_'
+        if all(x.isdecimal() for x in items):
+            return tuple(sorted({int(x) for x in items}))
+    except ValueError:  # past the interpreter's limit on digits
+        pass
+    raise argparse.ArgumentTypeError(f"--levi expects a comma list of integers, got {text!r}")
 
 
 def main(argv=None) -> int:
@@ -667,6 +611,7 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
+    handler, _, slow = COMMANDS[args.command]
     try:
         spec = parse_spec(args.spec)
         n = spec.cartan_type.rank  # gated before anything n x n is built
@@ -674,7 +619,7 @@ def main(argv=None) -> int:
             raise GroupSpecError(
                 f"total rank {n} exceeds --max-rank={args.max_rank}"
             )
-        if args.command in _HOMOLOGY_COMMANDS and n >= _SLOW_RANK and not args.slow:
+        if slow and n >= _SLOW_RANK and not args.slow:
             raise GroupSpecError(
                 f"{args.command} at rank {n} is expensive; pass --slow to run it"
             )
@@ -683,15 +628,20 @@ def main(argv=None) -> int:
                 raise GroupSpecError(
                     f"--levi indices must lie in 1..{n}", None
                 )
-        report = _HANDLERS[args.command](spec, spec.datum(), args)
+        sections, lines = handler(spec, spec.datum(), args)
     except NontrivialPi0 as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except UctopError as exc:  # bad input, or a library guard that failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(report.to_json() if args.format == "json" else report.to_table())
-    return report.exit_code
+    if args.format == "json":
+        import json  # loaded only under --format=json
+
+        print(json.dumps({"command": args.command, "spec": spec.canonical, **sections}, indent=2))
+    else:
+        print("\n".join(lines))
+    return 1 if sections.get("failed") else 0
 
 
 def entry() -> None:

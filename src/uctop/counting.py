@@ -23,7 +23,6 @@ from .rootdata import RootDatum, quotient_supports
 
 __all__ = [
     "QPolynomial",
-    "TPolynomial",
     "point_count_poly",
     "e_polynomial",
     "poincare_from_purity",
@@ -40,7 +39,7 @@ def _trim(coeffs) -> tuple[int, ...]:
 
 
 class QPolynomial(Frozen):
-    """Integer polynomial in q; `variable` is "q" or "uv" (with q = uv)."""
+    """Integer polynomial; `variable` is "q", "uv" (with q = uv) or "t"."""
 
     __slots__ = _fields = ("coeffs", "variable")
 
@@ -61,15 +60,6 @@ class QPolynomial(Frozen):
 
     def __str__(self) -> str:
         return format_poly(self.coeffs, self.variable)
-
-
-class TPolynomial(QPolynomial):
-    """Integer polynomial in t (graded Betti data when produced by purity)."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs: tuple[int, ...], variable: str = "t") -> None:
-        super().__init__(coeffs, variable)
 
 
 def point_count_poly(d: RootDatum) -> QPolynomial:
@@ -108,15 +98,15 @@ def purity_poincare_coeffs(e_coeffs: tuple[int, ...], n: int) -> tuple[int, ...]
     return tuple(out)
 
 
-def poincare_from_purity(d: RootDatum) -> TPolynomial:
-    """Purity-predicted Poincare polynomial (sum of b_k t^k).
+def poincare_from_purity(d: RootDatum) -> QPolynomial:
+    """Purity-predicted Poincare polynomial (sum of b_k t^k), in the variable t.
 
     The prediction assumes the cohomology carries a pure Hodge structure; the
     result is reported as a prediction, not a theorem, for inputs where the
     assembly route refuses.
     """
     e = e_polynomial(d)
-    return TPolynomial(purity_poincare_coeffs(e.coeffs, d.rank))
+    return QPolynomial(purity_poincare_coeffs(e.coeffs, d.rank), "t")
 
 
 def format_poly(coeffs: tuple[int, ...], variable: str) -> str:

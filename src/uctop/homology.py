@@ -159,22 +159,15 @@ def _check_chains(diagram: CenterDiagram, chains) -> None:
 class CechRow(Value):
     """One exterior degree w of the Cech complex.
 
-    `blocks[p]` lists the nonempty index sets A with |A| = p + 1 in
-    lexicographic order, `dims[p]` is the total dimension of term_p, and
-    `diffs[p]` (for p >= 1) is the sparse differential term_p -> term_(p-1).
+    `dims[p]` is the total dimension of term_p (a direct sum over the index
+    sets A with |A| = p + 1), and `diffs[p]` (for p >= 1) is the sparse
+    differential term_p -> term_(p-1).
     """
 
-    __slots__ = _fields = ("w", "blocks", "dims", "diffs")
+    __slots__ = _fields = ("w", "dims", "diffs")
 
-    def __init__(
-        self,
-        w: int,
-        blocks: list[list[tuple[int, ...]]],
-        dims: list[int],
-        diffs: dict[int, RatMatrix],
-    ) -> None:
+    def __init__(self, w: int, dims: list[int], diffs: dict[int, RatMatrix]) -> None:
         self.w = w
-        self.blocks = blocks
         self.dims = dims
         self.diffs = diffs
 
@@ -217,7 +210,7 @@ def build_cech_complex(diagram: CenterDiagram) -> CechComplex:
             diffs[p] = _assemble_differential(
                 minors, blocks, index_of, full, w, p, dims
             )
-        row = CechRow(w, blocks, dims, diffs)
+        row = CechRow(w, dims, diffs)
         _check_square_zero(row, n)
         rows.append(row)
     return CechComplex(n, rows)

@@ -21,7 +21,6 @@ __all__ = [
     "IntMatrix",
     "RatMatrix",
     "InvariantFactors",
-    "SmithDecomposition",
     "snf",
     "rank",
     "rank_mod_p",
@@ -290,23 +289,13 @@ class InvariantFactors(Frozen):
         return not self.factors
 
 
-class SmithDecomposition(Frozen):
-    """Result of `snf`: torsion factors, integer kernel basis (as columns), rank."""
-
-    __slots__ = _fields = ("factors", "kernel", "rank")
-
-    def __init__(self, factors: InvariantFactors, kernel: IntMatrix, rank: int) -> None:
-        setfield(self, "factors", factors)
-        setfield(self, "kernel", kernel)
-        setfield(self, "rank", rank)
-
-
-def snf(m: IntMatrix) -> SmithDecomposition:
+def snf(m: IntMatrix) -> tuple[InvariantFactors, IntMatrix]:
     """Smith normal form data of an integer matrix.
 
-    Returns the nontrivial invariant factors of coker(m) (acting on row
-    vectors: Z^cols / row-span), a basis of the integer kernel
-    {x : m x = 0} as matrix columns, and the rank.
+    Returns the pair (factors, kernel): the nontrivial invariant factors of
+    coker(m) (acting on row vectors: Z^cols / row-span) and a basis of the
+    integer kernel {x : m x = 0} as matrix columns. The rank of m is
+    m.cols - kernel.cols.
     """
     a = m.to_lists()
     nr, nc = m.rows, m.cols
@@ -363,10 +352,8 @@ def snf(m: IntMatrix) -> SmithDecomposition:
         diag.append(a[t][t])
         t += 1
     rank_ = len(diag)
-    kernel_cols = [[v[i][j] for j in range(rank_, nc)] for i in range(nc)]
-    kernel = IntMatrix.from_rows(kernel_cols, cols=nc - rank_)
-    factors = InvariantFactors(tuple(d for d in diag if d >= 2))
-    return SmithDecomposition(factors, kernel, rank_)
+    kernel = IntMatrix.from_rows([row[rank_:] for row in v], cols=nc - rank_)
+    return InvariantFactors(tuple(d for d in diag if d >= 2)), kernel
 
 
 def _smallest_nonzero(a, nr, nc, t):

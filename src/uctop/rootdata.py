@@ -33,7 +33,6 @@ __all__ = [
     "CartanType",
     "RootDatum",
     "CenterData",
-    "Form",
     "cartan_matrix",
     "build_datum",
     "center_of_levi",
@@ -266,10 +265,10 @@ def levi_root_matrix(d: RootDatum, levi: Iterable[int]) -> IntMatrix:
 
 @memoized
 def _center_of_levi_cached(d: RootDatum, s: tuple[int, ...]) -> CenterData:
-    dec = snf(levi_root_matrix(d, s))
-    if dec.rank != len(s):
+    factors, kernel = snf(levi_root_matrix(d, s))
+    if kernel.cols != d.rank - len(s):
         raise ArithmeticError("simple roots must be linearly independent")
-    return CenterData(pi0=dec.factors, cochar_basis=dec.kernel, dim=d.rank - len(s))
+    return CenterData(pi0=factors, cochar_basis=kernel, dim=d.rank - len(s))
 
 
 def center_of_levi(d: RootDatum, levi: Iterable[int]) -> CenterData:
@@ -282,26 +281,10 @@ def center_order(d: RootDatum) -> int:
     return center_of_levi(d, range(1, d.rank + 1)).pi0.order()
 
 
-class Form(Frozen):
-    """Symmetric positive definite Gram matrix on the cocharacter space."""
-
-    __slots__ = _fields = ("gram",)
-
-    def __init__(self, gram: IntMatrix) -> None:
-        if gram.rows != gram.cols:
-            raise ValueError("Gram matrix must be square")
-        if gram != gram.transpose():
-            raise ValueError("Gram matrix must be symmetric")
-        rat = gram.to_rational()
-        for k in range(1, gram.rows + 1):
-            idx = range(k)
-            if rat.submatrix(idx, idx).det() <= 0:
-                raise ValueError("Gram matrix must be positive definite")
-        setfield(self, "gram", gram)
-
-
-def invariant_form(d: RootDatum) -> Form:
-    """Invariant form as the minimally symmetrized Cartan matrix, per factor.
+def invariant_form(d: RootDatum) -> IntMatrix:
+    """Gram matrix of the invariant form on the cocharacter space: the
+    minimally symmetrized Cartan matrix, per factor (symmetric and positive
+    definite, or ValueError).
 
     On each simple factor any invariant form is a positive multiple of the
     Killing form, so the minimal integer symmetrizer D with D.A symmetric
@@ -318,7 +301,13 @@ def invariant_form(d: RootDatum) -> Form:
             for j in range(rk):
                 gram[off + i][off + j] = ds[i] * a[off + i][off + j]
         off += rk
-    return Form(IntMatrix.from_rows(gram, cols=n))
+    g = IntMatrix.from_rows(gram, cols=n)
+    if g != g.transpose():
+        raise ValueError("Gram matrix must be symmetric")
+    rat = g.to_rational()
+    if any(rat.submatrix(range(k), range(k)).det() <= 0 for k in range(1, n + 1)):
+        raise ValueError("Gram matrix must be positive definite")
+    return g
 
 
 def _block_symmetrizer(a: list[list[int]], off: int, rk: int) -> list[int]:
@@ -350,7 +339,7 @@ def _dual_gram(d: RootDatum) -> IntMatrix:
     projections do not see the scale.
     """
     lat_t = d.char_lattice.transpose()
-    y, _ = lat_t.solve(invariant_form(d).gram)  # L^-T G
+    y, _ = lat_t.solve(invariant_form(d))  # L^-T G
     m, _ = lat_t.solve(y.transpose())  # L^-T G L^-1, as G is symmetric
     return m
 

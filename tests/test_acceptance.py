@@ -224,10 +224,10 @@ def test_criterion_7_property_suites():
     def check_snf(rows, cols):
         nonlocal snf_cases
         m = IntMatrix.from_rows(rows, cols=cols)
-        dec = snf(m)
+        factors, kernel = snf(m)
         want_factors, want_rank = determinantal_divisor_data(rows, cols=cols)
-        assert dec.factors.factors == want_factors, rows
-        assert dec.rank == want_rank, rows
+        assert factors.factors == want_factors, rows
+        assert m.cols - kernel.cols == want_rank, rows
         snf_cases += 1
 
     for nr, nc in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)):

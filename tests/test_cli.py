@@ -176,12 +176,20 @@ def test_usage_errors_exit_1(capsys):
         ["jgbetti", "A2:adjoint", "--format=yaml"],
         ["frobnicate", "A1:sc"],
         ["pi0", "A2:sc", "--levi", "0,1"],
+        ["pi0", "A2:sc", "--levi=1_0"],  # int() would read 10
+        ["pi0", "A2:sc", "--levi=+1"],  # int() would read 1
         ["count", "E6xE8:sc"],  # rank 14 over the default --max-rank
     ):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv
         assert captured.err, argv
+    for text in ("1_0", "+1", "1,,2", "-1", "1" * 5000):
+        code, out, err = run_cli(capsys, "pi0", "A2:sc", f"--levi={text}")
+        assert (code, out) == (1, ""), text
+        assert f"--levi expects a comma list of integers, got {text!r}" in err, text
+    # whitespace around the items is still stripped
+    assert run_cli(capsys, "pi0", "A2:sc", "--levi= 2 , 1 ") == run_cli(capsys, "pi0", "A2:sc", "--levi=1,2")
 
 
 def test_exit_code_partition_over_corpus(capsys):
@@ -461,6 +469,24 @@ def test_check_output_matches_benchmark_golden_bytes(capsys):
         want = golden[f"check {spec}"]
         assert code == want["rc"], spec
         assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"], spec
+
+
+# stdout, stderr and exit code of every command, in table and JSON form, on
+# a few specs (a refused one and a lattice= one among them), plus --help;
+# recorded from the CLI and compared byte for byte
+_PINS = json.loads((ROOT / "tests" / "data" / "cli_pins.json").read_text())
+
+
+@pytest.mark.parametrize("key", list(_PINS))
+def test_cli_output_is_pinned(capsys, monkeypatch, key):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    try:
+        code = main(key.split())
+    except SystemExit as exc:  # --help exits from inside argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    want = _PINS[key]
+    assert (code, captured.out, captured.err) == (want["rc"], want["out"], want["err"])
 
 
 def test_oracles_stay_independent_of_the_library():

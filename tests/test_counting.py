@@ -14,7 +14,6 @@ from uctop import rootdata
 from uctop.cli import parse_spec
 from uctop.counting import (
     QPolynomial,
-    TPolynomial,
     e_polynomial,
     format_poly,
     point_count_poly,
@@ -158,7 +157,7 @@ def test_polynomial_normalization_and_eval():
     assert p.evaluate(Fraction(1, 2)) == 2
     z = QPolynomial(())
     assert z.coeffs == () and z.degree == -1 and z.evaluate(5) == 0
-    assert TPolynomial((0, 0)).coeffs == ()
+    assert QPolynomial((0, 0), "t").coeffs == ()
 
 
 def test_format_poly():

@@ -329,7 +329,7 @@ def _hand_betti_rank_two(d):
         ]
         for i in range(n)
     ]
-    g = invariant_form(d).gram.to_lists()
+    g = invariant_form(d).to_lists()
     gram = [
         [
             sum(inv[k][i] * g[k][l] * inv[l][j] for k in range(n) for l in range(n))

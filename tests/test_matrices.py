@@ -32,15 +32,14 @@ from uctop.oracles import (
 
 def _assert_snf_matches_oracle(rows, cols=None):
     m = IntMatrix.from_rows(rows, cols=cols)
-    dec = snf(m)
+    factors, kernel = snf(m)
     want_factors, want_rank = determinantal_divisor_data(rows, cols=m.cols)
-    assert dec.factors.factors == want_factors, rows
-    assert dec.rank == want_rank, rows
+    assert factors.factors == want_factors, rows
+    assert m.cols - kernel.cols == want_rank, rows
     # kernel columns really lie in the kernel and are independent
-    assert m.mul(dec.kernel).is_zero(), rows
-    assert dec.kernel.cols == m.cols - dec.rank, rows
-    if dec.kernel.cols:
-        assert rank(dec.kernel.to_rational()) == dec.kernel.cols, rows
+    assert m.mul(kernel).is_zero(), rows
+    if kernel.cols:
+        assert rank(kernel.to_rational()) == kernel.cols, rows
 
 
 # ---------------------------------------------------------------------------
@@ -48,30 +47,34 @@ def _assert_snf_matches_oracle(rows, cols=None):
 
 
 def test_snf_single_entry_two():
-    dec = snf(IntMatrix.from_rows([[2]]))
-    assert dec.factors.factors == (2,)
-    assert dec.rank == 1
-    assert dec.kernel.cols == 0
+    factors, kernel = snf(IntMatrix.from_rows([[2]]))
+    assert factors.factors == (2,)
+    assert kernel == IntMatrix(1, 0, ())  # rank 1
 
 
 def test_snf_identity_three():
-    dec = snf(IntMatrix.identity(3))
-    assert dec.factors.factors == ()
-    assert dec.rank == 3
+    factors, kernel = snf(IntMatrix.identity(3))
+    assert factors.factors == ()
+    assert kernel.cols == 0  # rank 3
 
 
 def test_snf_diag_two_three():
-    dec = snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    assert dec.factors.factors == (6,)
-    assert dec.rank == 2
+    factors, kernel = snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    assert factors.factors == (6,)
+    assert kernel.cols == 0  # rank 2
+    # the result is the pair (factors, kernel); the rank is cols - kernel.cols
+    assert snf(IntMatrix.from_rows([[2, 0, 0], [0, 4, 0]])) == (
+        InvariantFactors((2, 4)),
+        IntMatrix(3, 1, (0, 0, 1)),
+    )
 
 
 def test_snf_empty_shapes():
-    dec = snf(IntMatrix.from_rows([], cols=3))
-    assert dec.factors.factors == () and dec.rank == 0
-    assert dec.kernel == IntMatrix.identity(3)
-    dec = snf(IntMatrix.from_rows([[], [], []], cols=0))
-    assert dec.rank == 0 and dec.kernel.rows == 0 and dec.kernel.cols == 0
+    factors, kernel = snf(IntMatrix.from_rows([], cols=3))
+    assert factors.factors == ()
+    assert kernel == IntMatrix.identity(3)  # rank 0
+    factors, kernel = snf(IntMatrix.from_rows([[], [], []], cols=0))
+    assert factors.factors == () and kernel.rows == 0 and kernel.cols == 0
 
 
 def test_invariant_factors_validation():
@@ -157,7 +160,7 @@ def test_snf_against_coset_enumeration():
             cases.append(rows)
     for rows in cases:
         want = coset_invariant_factors(rows)
-        assert snf(IntMatrix.from_rows(rows)).factors.factors == want, rows
+        assert snf(IntMatrix.from_rows(rows))[0].factors == want, rows
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +191,8 @@ def test_rank_plus_nullity():
         nr, nc = rng.randint(1, 4), rng.randint(1, 4)
         rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
         m = IntMatrix.from_rows(rows, cols=nc)
-        dec = snf(m)
-        assert rank(m.to_rational()) + dec.kernel.cols == nc
-        assert rank(m.to_rational()) == dec.rank
+        _, kernel = snf(m)
+        assert rank(m.to_rational()) + kernel.cols == nc
 
 
 def _random_sparse_rows(rng, nr, nc, density):

@@ -272,12 +272,23 @@ def test_invariant_form_fixtures():
         ct(("F", 4)): [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -2, 4, -2], [0, 0, -2, 4]],
     }
     for t, rows in cases.items():
-        assert invariant_form(build_datum(t, "adjoint")).gram.to_lists() == rows
+        assert invariant_form(build_datum(t, "adjoint")).to_lists() == rows
+
+
+def test_invariant_form_guards(monkeypatch):
+    d = build_datum(ct(("A", 2)), "adjoint")
+    monkeypatch.setattr(rootdata, "_block_symmetrizer", lambda a, off, rk: [1, 2])
+    with pytest.raises(ValueError, match="^Gram matrix must be symmetric$"):
+        invariant_form(d)
+    monkeypatch.setattr(rootdata, "_block_symmetrizer", lambda a, off, rk: [1, 1])
+    monkeypatch.setattr(rootdata, "cartan_matrix", lambda t: IntMatrix.from_rows([[2, -3], [-3, 2]]))
+    with pytest.raises(ValueError, match="^Gram matrix must be positive definite$"):
+        invariant_form(d)
 
 
 def test_invariant_form_symmetric_positive_definite():
     for t in ADJOINT_SWEEP:
-        g = invariant_form(build_datum(t, "adjoint")).gram
+        g = invariant_form(build_datum(t, "adjoint"))
         assert g == g.transpose()
         rows = g.to_lists()
         for k in range(1, t.rank + 1):
@@ -310,7 +321,7 @@ def _dual_gram_oracle(d):
         ]
         for i in range(n)
     ]  # inv[i][j] = (L^-1)[i][j] via adjugate
-    g = invariant_form(d).gram.to_lists()
+    g = invariant_form(d).to_lists()
     out = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
