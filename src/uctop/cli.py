@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from fractions import Fraction
 
 from ._value import Frozen, setfield
 from .assembly import _attach_handles, universal_centralizer_homology
@@ -41,12 +40,12 @@ from .matrices import IntMatrix, rank
 from .rootdata import (
     CartanType,
     RootDatum,
+    _symmetrized_cartan,
     all_levi_subsets,
     build_datum,
     cartan_matrix,
     center_of_levi,
     center_order,
-    invariant_form,
     killing_projection,
     levi_root_matrix,
     proper_pi0_witness,
@@ -337,7 +336,7 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     add(
         "rank-nullity for every Levi root matrix",
         all(
-            rank(levi_root_matrix(d, s).to_rational()) + c.cochar_basis.cols == n
+            rank(levi_root_matrix(d, s)) + c.cochar_basis.cols == n
             for s, c in centers.items()
         ),
     )
@@ -347,10 +346,9 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
             all(c.pi0.is_trivial() for c in centers.values()),
         )
     if d.is_simply_connected():
-        det = cartan_matrix(d.cartan_type).to_rational().det()
         add(
             "simply connected form: center order equals Cartan determinant",
-            Fraction(center_order(d)) == det,
+            center_order(d) == cartan_matrix(d.cartan_type).det(),
         )
     add(
         "smith factors match minor-gcd divisors on small Levi matrices",
@@ -371,15 +369,11 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         ],
         skip="rank > 4" if n > 4 else "",
     )
-    gram = invariant_form(d)
-    add("invariant form is symmetric", gram == gram.transpose())
-    add(
-        "invariant form is positive definite",
-        all(
-            gram.to_rational().submatrix(range(k), range(k)).det() > 0
-            for k in range(1, n + 1)
-        ),
-    )
+    # invariant_form's guard, item by item, on the form it guards
+    gram = _symmetrized_cartan(d.cartan_type)
+    symmetric, definite = gram.is_symmetric(), gram.is_positive_definite()
+    add("invariant form is symmetric", symmetric)
+    add("invariant form is positive definite", definite)
 
     proper = all_levi_subsets(n, proper=True)
     # build_center_diagram checks the covering triangles with a < b itself;
@@ -394,30 +388,33 @@ def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     else:
         chains = _covering_triangles(n, ascending=False)
     diagram = None
-    try:
-        diagram = build_center_diagram(d)
-        _check_chains(diagram, chains)
-    except FunctorialityViolation as exc:
-        add("projection functoriality over chains", False, str(exc))
-    else:
-        add("projection functoriality over chains", True)
-    # the diagram holds the covering arrows; without it each is computed here
-    arrow = diagram.arrow if diagram is not None else lambda s, sp: killing_projection(d, s, sp)
-    add(
-        "projections surject onto their targets",
-        all(
-            rank(arrow(s, sp)) == n - len(sp)
-            for s in proper
-            for sp in proper
-            if set(s) <= set(sp)
-        )
-        if n <= 5
-        else all(
-            rank(arrow(s, tuple(sorted(s + (a,))))) == n - len(s) - 1
-            for s in proper
-            for a in range(1, n + 1)
-            if a not in s and len(s) + 1 < n
-        ),
+
+    def functorial():
+        nonlocal diagram
+        try:
+            diagram = build_center_diagram(d)
+            _check_chains(diagram, chains)
+        except FunctorialityViolation as exc:
+            return False, str(exc)
+        return True
+
+    def surjective():
+        # the diagram holds the covering arrows; without it each is computed here
+        arrow = (lambda s, sp: killing_projection(d, s, sp)) if diagram is None else diagram.arrow
+        if n <= 5:  # every nested pair, else the covering pairs
+            pairs = ((s, sp) for s in proper for sp in proper if set(s) <= set(sp))
+        else:
+            pairs = ((s, tuple(sorted(s + (a,)))) for s in proper for a in range(1, n + 1)
+                     if a not in s and len(s) + 1 < n)
+        return all(rank(arrow(s, sp)) == n - len(sp) for s, sp in pairs)
+
+    # every projection reads the form, and the Cech items below need the diagram
+    run(
+        [
+            ("projection functoriality over chains", functorial),
+            ("projections surject onto their targets", surjective),
+        ],
+        skip="" if symmetric and definite else "needs the invariant form",
     )
 
     count = point_count_poly(d)
@@ -563,7 +560,7 @@ def _build_parser() -> _Parser:
         )
         p.add_argument(
             "--max-rank",
-            type=int,
+            type=_parse_max_rank_arg,
             default=8,
             help="refuse total ranks above this bound (default: 8)",
         )
@@ -588,17 +585,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _decimal(text: str) -> int | None:
+    """`text` read as decimal digits only, as ranks in a spec are (no sign,
+    no '_'; whitespace around it is stripped), or None."""
+    text = text.strip()
+    try:
+        return int(text) if text.isdecimal() else None
+    except ValueError:  # past the interpreter's limit on digits
+        return None
+
+
 def _parse_levi_arg(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    items = [x.strip() for x in text.split(",")]
-    try:  # decimal digits only, as for ranks in a spec: no sign, no '_'
-        if all(x.isdecimal() for x in items):
-            return tuple(sorted({int(x) for x in items}))
-    except ValueError:  # past the interpreter's limit on digits
-        pass
-    raise argparse.ArgumentTypeError(f"--levi expects a comma list of integers, got {text!r}")
+    items = [_decimal(x) for x in text.split(",")]
+    if None in items:
+        raise argparse.ArgumentTypeError(f"--levi expects a comma list of integers, got {text!r}")
+    return tuple(sorted(set(items)))
+
+
+def _parse_max_rank_arg(text: str) -> int:
+    if (value := _decimal(text)) is None:  # argparse's own message for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,10 @@
-"""Exact integer and rational matrix primitives.
+"""Exact integer and rational matrix primitives, all arbitrary precision.
 
-All arithmetic is arbitrary precision: integer matrices hold Python ints,
-rational matrices hold sparse integer rows over per-row denominators (always
-in lowest terms, positive denominators). Matrices are immutable value
-objects; every operation returns a new value, so everything here is safe to
-use concurrently.
+Integer matrices hold Python ints; their determinants and solves run one
+fraction-free (Bareiss) elimination, whose every entry is an integer minor.
+Rational matrices, the type of the projection arrows and Cech differentials,
+hold sparse integer rows over per-row denominators, always in lowest terms.
+Matrices are immutable values, so everything here is safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
@@ -53,13 +54,6 @@ class IntMatrix(Frozen):
     def identity(cls, n: int) -> IntMatrix:
         return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> IntMatrix:
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -70,52 +64,58 @@ class IntMatrix(Frozen):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> IntMatrix:
-        ent = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
+        ent = tuple(e for j in range(self.cols) for e in self.column(j))
         return IntMatrix(self.cols, self.rows, ent)
 
     def mul(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        ent = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                ent.append(sum(ri[k] * other.at(k, j) for k in range(self.cols) if ri[k]))
-        return IntMatrix(self.rows, other.cols, tuple(ent))
+        rows = [self.row(i) for i in range(self.rows)]
+        cols = [other.column(j) for j in range(other.cols)]
+        ent = tuple(sum(map(operator.mul, r, c)) for r in rows for c in cols)
+        return IntMatrix(self.rows, other.cols, ent)
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
+    def is_symmetric(self) -> bool:
+        return self == self.transpose()
+
+    def is_positive_definite(self) -> bool:
+        """Sylvester's criterion, for a symmetric matrix: every leading
+        principal minor is positive."""
+        rows = self.to_lists()
+        return all(
+            IntMatrix.from_rows([r[:k] for r in rows[:k]]).det() > 0
+            for k in range(1, self.rows + 1)
+        )
+
+    def det(self) -> int:
+        """Exact determinant, by the elimination `solve` runs."""
+        if self.cols != self.rows:
+            raise ValueError("determinant requires a square matrix")
+        pivot, sign = _bareiss(self.to_lists(), self.rows)
+        return sign * pivot
+
     def solve(self, rhs: IntMatrix) -> tuple[IntMatrix, int]:
         """Exact solution X of self . X = rhs, as (N, den) with X = N / den.
 
-        Fraction-free (Bareiss) Gauss-Jordan on the augmented matrix: every
-        intermediate entry is a minor of it, so each division is exact, and
-        the left block ends as det . I. `den` is positive and shares no
-        factor with all of N. Raises ValueError when self is singular.
+        One `_bareiss` run on the augmented matrix leaves its left block as
+        (+-det) . I. `den` is positive and shares no factor with all of N.
+        Raises ValueError when self is singular.
         """
         n = self.rows
         if self.cols != n or rhs.rows != n:
             raise ValueError("solve needs a square matrix and a matching right side")
         a = [list(self.row(i)) + list(rhs.row(i)) for i in range(n)]
-        prev = 1
-        for c in range(n):
-            piv = next((i for i in range(c, n) if a[i][c]), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[c], a[piv] = a[piv], a[c]
-            pr = a[c]
-            p = pr[c]
-            for i in range(n):
-                if i != c:
-                    e = a[i][c]
-                    a[i] = [(p * x - e * y) // prev for x, y in zip(a[i], pr)]
-            prev = p
+        pivot, _ = _bareiss(a, n)
+        if not pivot:
+            raise ValueError("matrix is singular")
         num = [e for row in a for e in row[n:]]
-        g = math.gcd(prev, *num)
-        if prev < 0:
+        g = math.gcd(pivot, *num)
+        if pivot < 0:
             g = -g
-        return IntMatrix(n, rhs.cols, tuple(e // g for e in num)), prev // g
+        return IntMatrix(n, rhs.cols, tuple(e // g for e in num)), pivot // g
 
     def to_rational(self, den: int = 1) -> RatMatrix:
         """This matrix divided by `den`, as a rational matrix."""
@@ -123,6 +123,33 @@ class IntMatrix(Frozen):
             {j: e for j, e in enumerate(self.row(i)) if e} for i in range(self.rows)
         )
         return RatMatrix(self.rows, self.cols, num, (den,) * self.rows)
+
+
+def _bareiss(a: list[list[int]], n: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan on the first n columns of the n
+    rows `a`, in place; each pivot is the first nonzero entry at or below the
+    diagonal. Every intermediate entry is a minor of the input, so each
+    division is exact, and the n x n block ends as (last pivot) . I.
+
+    Returns (last pivot, swap sign), whose product is the determinant of the
+    block; the pivot is 0, with `a` left part-way, when the block is singular.
+    """
+    sign = prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0, sign
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        pr = a[c]
+        p = pr[c]
+        for i in range(n):
+            if i != c:
+                e = a[i][c]
+                a[i] = [(p * x - e * y) // prev for x, y in zip(a[i], pr)]
+        prev = p
+    return prev, sign
 
 
 def _width(rows: list[list], cols: int | None) -> int:
@@ -193,13 +220,6 @@ class RatMatrix(Frozen):
     def identity(cls, n: int) -> RatMatrix:
         return cls(n, n, tuple({i: 1} for i in range(n)), (1,) * n)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> RatMatrix:
-        return cls(rows, cols, ({},) * rows, (1,) * rows)
-
-    def at(self, i: int, j: int) -> Fraction:
-        return Fraction(self.num[i].get(j, 0), self.den[i])
-
     @property
     def entries(self) -> tuple[Fraction, ...]:
         return tuple(e for i in range(self.rows) for e in self.row(i))
@@ -234,34 +254,6 @@ class RatMatrix(Frozen):
 
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def det(self) -> Fraction:
-        """Exact determinant: fraction-free (Bareiss) elimination of the
-        numerator rows, over the product of the row denominators."""
-        n = self.rows
-        if self.cols != n:
-            raise ValueError("determinant requires a square matrix")
-        a = [[row.get(j, 0) for j in range(n)] for row in self.num]
-        sign = prev = 1
-        for c in range(n):
-            piv = next((i for i in range(c, n) if a[i][c]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                sign = -sign
-            pr = a[c]
-            for i in range(c + 1, n):
-                e = a[i][c]
-                a[i] = [(pr[c] * x - e * y) // prev for x, y in zip(a[i], pr)]
-            prev = pr[c]
-        return Fraction(sign * prev, math.prod(self.den))
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> RatMatrix:
-        cols = list(col_idx)
-        num = tuple({k: self.num[i][j] for k, j in enumerate(cols) if j in self.num[i]}
-                    for i in row_idx)
-        return RatMatrix(len(num), len(cols), num, tuple(self.den[i] for i in row_idx))
 
 
 class InvariantFactors(Frozen):

@@ -27,6 +27,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from ._value import Frozen, setfield
+from .errors import UctopError
 from .matrices import IntMatrix, InvariantFactors, RatMatrix, snf
 
 __all__ = [
@@ -173,12 +174,11 @@ class RootDatum(Frozen):
 
     def is_adjoint(self) -> bool:
         """True when the character lattice is the root lattice (any basis)."""
-        det = self.char_lattice.to_rational().det()
-        return abs(det) == abs(cartan_matrix(self.cartan_type).to_rational().det())
+        return abs(self.char_lattice.det()) == abs(cartan_matrix(self.cartan_type).det())
 
     def is_simply_connected(self) -> bool:
         """True when the character lattice is the full weight lattice (any basis)."""
-        return abs(self.char_lattice.to_rational().det()) == 1
+        return abs(self.char_lattice.det()) == 1
 
 
 def memoized(fn):
@@ -284,13 +284,23 @@ def center_order(d: RootDatum) -> int:
 def invariant_form(d: RootDatum) -> IntMatrix:
     """Gram matrix of the invariant form on the cocharacter space: the
     minimally symmetrized Cartan matrix, per factor (symmetric and positive
-    definite, or ValueError).
+    definite, or UctopError).
 
     On each simple factor any invariant form is a positive multiple of the
     Killing form, so the minimal integer symmetrizer D with D.A symmetric
     represents it faithfully for every projection computed here.
     """
-    t = d.cartan_type
+    g = _symmetrized_cartan(d.cartan_type)
+    if not g.is_symmetric():
+        raise UctopError("Gram matrix must be symmetric")
+    if not g.is_positive_definite():
+        raise UctopError("Gram matrix must be positive definite")
+    return g
+
+
+def _symmetrized_cartan(t: CartanType) -> IntMatrix:
+    """D.A, D the minimal symmetrizer of each factor: `invariant_form`
+    before its guard."""
     n = t.rank
     a = cartan_matrix(t).to_lists()
     gram = [[0] * n for _ in range(n)]
@@ -301,13 +311,7 @@ def invariant_form(d: RootDatum) -> IntMatrix:
             for j in range(rk):
                 gram[off + i][off + j] = ds[i] * a[off + i][off + j]
         off += rk
-    g = IntMatrix.from_rows(gram, cols=n)
-    if g != g.transpose():
-        raise ValueError("Gram matrix must be symmetric")
-    rat = g.to_rational()
-    if any(rat.submatrix(range(k), range(k)).det() <= 0 for k in range(1, n + 1)):
-        raise ValueError("Gram matrix must be positive definite")
-    return g
+    return IntMatrix.from_rows(gram, cols=n)
 
 
 def _block_symmetrizer(a: list[list[int]], off: int, rk: int) -> list[int]:

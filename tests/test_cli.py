@@ -179,6 +179,9 @@ def test_usage_errors_exit_1(capsys):
         ["pi0", "A2:sc", "--levi=1_0"],  # int() would read 10
         ["pi0", "A2:sc", "--levi=+1"],  # int() would read 1
         ["count", "E6xE8:sc"],  # rank 14 over the default --max-rank
+        ["info", "A9:sc", "--max-rank=1_0"],  # int() would read 10
+        ["info", "A9:sc", "--max-rank=+9"],  # int() would read 9
+        ["info", "A9:sc", "--max-rank=-1"],
     ):
         code = main(argv)
         captured = capsys.readouterr()
@@ -190,6 +193,13 @@ def test_usage_errors_exit_1(capsys):
         assert f"--levi expects a comma list of integers, got {text!r}" in err, text
     # whitespace around the items is still stripped
     assert run_cli(capsys, "pi0", "A2:sc", "--levi= 2 , 1 ") == run_cli(capsys, "pi0", "A2:sc", "--levi=1,2")
+    # --max-rank takes decimal digits by the same rule, with argparse's message
+    for text in ("1_0", "+9", "-1", "1" * 5000):
+        code, out, err = run_cli(capsys, "info", "A9:sc", f"--max-rank={text}")
+        assert (code, out) == (1, ""), text
+        assert f"argument --max-rank: invalid int value: {text!r}" in err, text
+    padded = run_cli(capsys, "info", "A9:sc", "--max-rank= 9 ")  # int() strips it too
+    assert padded == run_cli(capsys, "info", "A9:sc", "--max-rank=9") and padded[0] == 0
 
 
 def test_exit_code_partition_over_corpus(capsys):
@@ -291,36 +301,46 @@ def test_check_failure_exits_1(capsys, monkeypatch):
         ("_check_chains", "projection functoriality over chains"),
         ("_check_square_zero", "cech differentials square to zero"),
         ("_betti_from_complex", "boundary homology is the odd sphere"),
+        ("_block_symmetrizer", "invariant form is symmetric"),
     ],
 )
 def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
     import uctop.cli as cli
-    from uctop import homology
+    from uctop import homology, rootdata
 
-    if guard == "_betti_from_complex":
+    spec = "A3:adjoint"
+    if guard == "_block_symmetrizer":
+        # D = diag(1, 2) makes D.A asymmetric on A2, which invariant_form's
+        # guard refuses; the check items that project need the form
+        monkeypatch.setattr(rootdata, guard, lambda a, off, rk: [1, 2])
+        spec, error, failed = "A2:adjoint", "Gram matrix must be symmetric", f"FAIL {item}"
+        reasons = ["needs the invariant form"] * 2 + ["needs the Cech complex"] * 10
+    elif guard == "_betti_from_complex":
         # a boundary that is not S^5 trips the assembly guard
         def broken(*args, **kwargs):
             return homology.BettiTable((1, 0, 1))
 
         monkeypatch.setattr(cli, guard, broken)
+        monkeypatch.setattr(homology, guard, broken)
         error = "boundary homology is not the expected odd sphere; assembly premises are violated"
-        detail, skips, reason = "betti [1, 0, 1]", 5, "needs the assembly"
+        failed = f"FAIL {item} (betti [1, 0, 1])"
+        reasons = ["needs the assembly"] * 5
     else:
         def broken(*args):
             raise FunctorialityViolation(f"rigged {guard}")
 
-        error = detail = f"rigged {guard}"
-        skips = 10 if guard == "_check_chains" else 9
-        reason = "needs the Cech complex"
-    monkeypatch.setattr(homology, guard, broken)
-    assert run_cli(capsys, "jgbetti", "A3:adjoint") == (1, "", f"error: {error}\n")
-    code, out, _ = run_cli(capsys, "check", "A3:adjoint")
+        monkeypatch.setattr(homology, guard, broken)
+        error = f"rigged {guard}"
+        failed = f"FAIL {item} ({error})"
+        reasons = ["needs the Cech complex"] * (10 if guard == "_check_chains" else 9)
+    assert run_cli(capsys, "jgbetti", spec) == (1, "", f"error: {error}\n")
+    code, out, _ = run_cli(capsys, "check", spec)
     lines = out.splitlines()
     assert code == 1
-    assert [x for x in lines if x.startswith("FAIL")] == [f"FAIL {item} ({detail})"]
+    assert [x for x in lines if x.startswith("FAIL")] == [failed]
     skipped = [x for x in lines if x.startswith("SKIP")]
-    assert len(skipped) == skips
-    assert all(x.endswith(f" ({reason})") for x in skipped)
+    assert len(skipped) == len(reasons)
+    assert all(x.endswith(f" ({reason})") for x, reason in zip(skipped, reasons))
     assert skipped[-1].startswith("SKIP refusal contract: no witness")
 
 

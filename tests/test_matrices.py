@@ -168,7 +168,7 @@ def test_snf_against_coset_enumeration():
 
 
 def test_rank_examples():
-    assert rank(RatMatrix.zero(2, 2)) == 0
+    assert rank(RatMatrix.from_rows([[0, 0], [0, 0]])) == 0
     for n in range(5):
         assert rank(RatMatrix.identity(n)) == n
     assert rank(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
@@ -274,13 +274,15 @@ def test_int_solve_matches_rational_inverse():
     for _ in range(100):
         n, k = rng.randint(1, 5), rng.randint(0, 4)
         m = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        if leibniz_det(m.to_lists()) == 0:
+        det = leibniz_det(m.to_lists())
+        if det == 0:
             with pytest.raises(ValueError):
-                m.solve(IntMatrix.zero(n, k))
+                m.solve(IntMatrix.from_rows([[0] * k for _ in range(n)], cols=k))
             continue
         rhs = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(k)] for _ in range(n)], cols=k)
         num, den = m.solve(rhs)
         assert den > 0
+        assert det % den == 0  # X = adj(m) rhs / det, so the lowest terms divide it
         for j in range(k):
             want = cramer_solve(m.to_lists(), rhs.column(j))
             assert num.column(j) == tuple(e * den for e in want)
@@ -322,8 +324,8 @@ def test_compound_entries_are_lexicographic_minors():
     subsets = list(itertools.combinations(range(3), 2))
     for ri, rsub in enumerate(subsets):
         for ci, csub in enumerate(subsets):
-            sub = [[m.at(i, j) for j in csub] for i in rsub]
-            assert c.at(ri, ci) == leibniz_det(sub)
+            sub = [[m.row(i)[j] for j in csub] for i in rsub]
+            assert c.row(ri)[ci] == leibniz_det(sub)
 
 
 def _random_rat_matrix(rng, nr, nc):
@@ -361,8 +363,21 @@ def test_matrix_validation():
 
 
 def test_determinant_matches_leibniz():
+    assert IntMatrix(0, 0, ()).det() == 1
+    assert IntMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
     rng = random.Random(5)
-    for _ in range(100):
-        n = rng.randint(0, 4)
-        m = _random_rat_matrix(rng, n, n)
-        assert m.det() == leibniz_det(m.to_lists())
+    singular = swapped = 0
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n and rng.random() < 0.3:
+            rows[0][0] = 0  # the elimination must swap in another pivot row
+        if n > 1 and rng.random() < 0.2:
+            rows[-1] = [2 * e for e in rows[0]]  # singular by construction
+        want = leibniz_det(rows)
+        assert IntMatrix.from_rows(rows, cols=n).det() == want, rows
+        singular += want == 0
+        swapped += n > 1 and rows[0][0] == 0 and want != 0
+    assert singular and swapped, "the random cases missed singular or row-swap matrices"
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 2]]).det()

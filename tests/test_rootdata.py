@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from uctop import rootdata
+from uctop.errors import UctopError
 from uctop.matrices import IntMatrix, RatMatrix, rank
 from uctop.rootdata import (
     CartanType,
@@ -278,11 +279,11 @@ def test_invariant_form_fixtures():
 def test_invariant_form_guards(monkeypatch):
     d = build_datum(ct(("A", 2)), "adjoint")
     monkeypatch.setattr(rootdata, "_block_symmetrizer", lambda a, off, rk: [1, 2])
-    with pytest.raises(ValueError, match="^Gram matrix must be symmetric$"):
+    with pytest.raises(UctopError, match="^Gram matrix must be symmetric$"):
         invariant_form(d)
     monkeypatch.setattr(rootdata, "_block_symmetrizer", lambda a, off, rk: [1, 1])
     monkeypatch.setattr(rootdata, "cartan_matrix", lambda t: IntMatrix.from_rows([[2, -3], [-3, 2]]))
-    with pytest.raises(ValueError, match="^Gram matrix must be positive definite$"):
+    with pytest.raises(UctopError, match="^Gram matrix must be positive definite$"):
         invariant_form(d)
 
 
