@@ -10,7 +10,9 @@ whose support lies in S, the sum collapses to one term per class:
 read from the support histogram of `quotient_supports`, with no Smith form
 and no loop over the 2^n sets S. The E-polynomial is the same polynomial
 read in the variable uv, and under purity the Poincare polynomial is
-recovered by substituting u = v = -1/t and multiplying by t^(4n).
+recovered by substituting u = v = -1/t and multiplying by t^(4n). Each of
+the three polynomials is computed once per datum, cached on it and freed
+with it; a `QPolynomial` is immutable, so every caller can share it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from ._value import Frozen, setfield
 from .errors import NegativeCoefficient, NonPolynomialResult
-from .rootdata import RootDatum, quotient_supports
+from .rootdata import RootDatum, memoized, quotient_supports
 
 __all__ = [
     "QPolynomial",
@@ -62,12 +64,14 @@ class QPolynomial(Frozen):
         return format_poly(self.coeffs, self.variable)
 
 
+@memoized
 def point_count_poly(d: RootDatum) -> QPolynomial:
     """Number of points over F_q as a polynomial in q (monic, degree 2n)."""
     sizes = quotient_supports(d).sizes  # sizes[k] classes give q^(2n - k)
     return QPolynomial((0,) * d.rank + sizes[::-1])
 
 
+@memoized
 def e_polynomial(d: RootDatum) -> QPolynomial:
     """E-polynomial: the point count read in the variable uv."""
     return QPolynomial(point_count_poly(d).coeffs, variable="uv")
@@ -98,6 +102,7 @@ def purity_poincare_coeffs(e_coeffs: tuple[int, ...], n: int) -> tuple[int, ...]
     return tuple(out)
 
 
+@memoized
 def poincare_from_purity(d: RootDatum) -> QPolynomial:
     """Purity-predicted Poincare polynomial (sum of b_k t^k), in the variable t.
 

@@ -129,7 +129,9 @@ def _bareiss(a: list[list[int]], n: int) -> tuple[int, int]:
     """Fraction-free (Bareiss) Gauss-Jordan on the first n columns of the n
     rows `a`, in place; each pivot is the first nonzero entry at or below the
     diagonal. Every intermediate entry is a minor of the input, so each
-    division is exact, and the n x n block ends as (last pivot) . I.
+    division is exact, and the n x n block ends as (last pivot) . I. A row
+    whose entry in the pivot column is already 0 is only rescaled by
+    pivot / previous pivot, and left alone when the two are equal.
 
     Returns (last pivot, swap sign), whose product is the determinant of the
     block; the pivot is 0, with `a` left part-way, when the block is singular.
@@ -145,9 +147,13 @@ def _bareiss(a: list[list[int]], n: int) -> tuple[int, int]:
         pr = a[c]
         p = pr[c]
         for i in range(n):
-            if i != c:
-                e = a[i][c]
+            if i == c:
+                continue
+            e = a[i][c]
+            if e:
                 a[i] = [(p * x - e * y) // prev for x, y in zip(a[i], pr)]
+            elif p != prev:  # the same integers as the full update with e = 0
+                a[i] = [p * x // prev for x in a[i]]
         prev = p
     return prev, sign
 

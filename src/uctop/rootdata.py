@@ -276,9 +276,15 @@ def center_of_levi(d: RootDatum, levi: Iterable[int]) -> CenterData:
     return _center_of_levi_cached(d, _normalize_levi(d, levi))
 
 
+@memoized
 def center_order(d: RootDatum) -> int:
-    """Order of the center of the group (the S = Pi component group)."""
-    return center_of_levi(d, range(1, d.rank + 1)).pi0.order()
+    """Order of the center of the group: |Z| = |X/Q| = |det R|.
+
+    R = `_roots_in_basis` presents X/Q (X the character lattice, Q the root
+    lattice), so its determinant is the order of the S = Pi component group
+    with no Smith form and no enumeration of X/Q: one Bareiss elimination.
+    """
+    return abs(_roots_in_basis(d).det())
 
 
 def invariant_form(d: RootDatum) -> IntMatrix:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uctop import rootdata
 from uctop.cli import GroupSpec, main, parse_spec
 from uctop.errors import FunctorialityViolation, GroupSpecError
 from uctop.matrices import IntMatrix
@@ -182,19 +183,23 @@ def test_usage_errors_exit_1(capsys):
         ["info", "A9:sc", "--max-rank=1_0"],  # int() would read 10
         ["info", "A9:sc", "--max-rank=+9"],  # int() would read 9
         ["info", "A9:sc", "--max-rank=-1"],
+        # digits of another script (here Arabic-Indic), which int() reads too
+        ["info", "A\u0663:sc"],
+        ["info", "A9:sc", "--max-rank=\u0669"],
+        ["pi0", "A2:sc", "--levi=\u0661"],
     ):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1, argv
         assert captured.err, argv
-    for text in ("1_0", "+1", "1,,2", "-1", "1" * 5000):
+    for text in ("1_0", "+1", "1,,2", "-1", "1" * 5000, "\u0661"):
         code, out, err = run_cli(capsys, "pi0", "A2:sc", f"--levi={text}")
         assert (code, out) == (1, ""), text
         assert f"--levi expects a comma list of integers, got {text!r}" in err, text
     # whitespace around the items is still stripped
     assert run_cli(capsys, "pi0", "A2:sc", "--levi= 2 , 1 ") == run_cli(capsys, "pi0", "A2:sc", "--levi=1,2")
     # --max-rank takes decimal digits by the same rule, with argparse's message
-    for text in ("1_0", "+9", "-1", "1" * 5000):
+    for text in ("1_0", "+9", "-1", "1" * 5000, "\u0669"):
         code, out, err = run_cli(capsys, "info", "A9:sc", f"--max-rank={text}")
         assert (code, out) == (1, ""), text
         assert f"argument --max-rank: invalid int value: {text!r}" in err, text
@@ -441,6 +446,24 @@ def test_count_on_the_pinned_basis_matches_the_weight_lattice(capsys):
     (pinned,) = catalogue["pinned"]
     assert pinned["golden"] == "count A9:sc --max-rank=9"
     assert run_cli(capsys, *pinned["argv"]) == run_cli(capsys, "count", "A9:sc", "--max-rank=9")
+
+
+def test_info_on_the_pinned_basis_runs_no_smith_form(capsys, monkeypatch):
+    # the S = Pi Smith form blows up on this basis; |Z| is |det R| instead
+    catalogue = json.loads((ROOT / "bench" / "data" / "lattices.json").read_text())
+    (pinned,) = catalogue["pinned"]
+    spec = pinned["argv"][1]
+
+    def refuse(*args):
+        raise AssertionError("info or count ran a Smith normal form")
+
+    monkeypatch.setattr(rootdata, "snf", refuse)
+    code, out, err = run_cli(capsys, "info", spec, "--max-rank=9")
+    assert (code, err) == (0, "")
+    assert "center order: 10\n" in out
+    reference = run_cli(capsys, "info", "A9:sc", "--max-rank=9")
+    assert out.splitlines()[1:] == reference[1].splitlines()[1:]
+    assert run_cli(capsys, "count", spec, "--max-rank=9")[0] == 0
 
 
 def test_slow_gate_message(capsys):

@@ -230,7 +230,29 @@ FUZZ_TYPES = [
     ct(("A", 1), ("A", 1)), ct(("A", 1), ("A", 3)), ct(("A", 2), ("A", 2)),
     ct(("A", 1), ("A", 1), ("A", 1)), ct(("A", 1), ("B", 2), ("A", 2)),
     ct(("A", 1), ("A", 1), ("A", 1), ("A", 1)), ct(("A", 3), ("A", 2)),
+    ct(("A", 6)), ct(("D", 6)), ct(("E", 6)), ct(("A", 1), ("A", 5)),
+    ct(("A", 2), ("A", 2), ("A", 2)),
 ]
+
+
+def _center_routes(d):
+    """|Z| three ways: |det R| (`center_order`), the Smith form of R at
+    S = Pi, and the lattice index |det A| / |det L|."""
+    return (
+        center_order(d),
+        center_of_levi(d, range(1, d.rank + 1)).pi0.order(),
+        abs(cartan_matrix(d.cartan_type).det()) // abs(d.char_lattice.det()),
+    )
+
+
+def test_center_order_matches_the_smith_form_on_catalogue_lattices():
+    catalogue = json.loads((ROOT / "bench" / "data" / "lattices.json").read_text())
+    entries = [e for e in catalogue["entries"] if len(e["rows"]) <= 5]
+    assert entries
+    for e in entries:
+        d = build_datum(parse_spec(e["ref"]).cartan_type, IntMatrix.from_rows(e["rows"]))
+        z, smith, index = _center_routes(d)
+        assert z == smith == index, (e["ref"], e["rows"])
 
 
 @pytest.mark.parametrize("t", FUZZ_TYPES, ids=str)
@@ -254,6 +276,8 @@ def test_quotient_route_matches_levi_snf_route_in_random_bases(t):
                 mask = sum(1 << (i - 1) for i in s)
                 assert sum(1 for m in supports if m & ~mask == 0) == order, (basis, s)
             assert proper_pi0_witness(d) == witness, basis
+            z, smith, index = _center_routes(d)
+            assert z == smith == index, basis
 
 
 def _sl_reference(n):
@@ -286,6 +310,7 @@ def _pinned_spec():
 
 def _count_side(d):
     return (
+        center_order(d),
         point_count_poly(d),
         e_polynomial(d).coeffs,
         poincare_from_purity(d).coeffs,
@@ -300,12 +325,12 @@ def test_count_side_runs_without_any_snf(monkeypatch):
     monkeypatch.setattr(rootdata, "snf", refuse)
     a14 = _count_side(parse_spec("A14:sc").datum())
     count, witness = _sl_reference(14)
-    assert a14[0].coeffs == count and a14[3] == witness
+    assert a14[0] == 15 and a14[1].coeffs == count and a14[4] == witness
     pinned = _count_side(parse_spec(_pinned_spec()).datum())
     assert pinned == _count_side(parse_spec("A9:sc").datum())
-    assert pinned[0].coeffs == _sl_reference(9)[0]
-    assert pinned[3] == _sl_reference(9)[1]
+    assert pinned[0] == 10 and pinned[1].coeffs == _sl_reference(9)[0]
+    assert pinned[4] == _sl_reference(9)[1]
     a7 = _count_side(parse_spec(A7_SCRAMBLED).datum())
     assert a7 == _count_side(parse_spec(A7_REFERENCE).datum())
-    assert str(a7[0]) == "q^14 + q^10 + 2q^8"
-    assert a7[3] == (1, 3, 5, 7)
+    assert a7[0] == 4 and str(a7[1]) == "q^14 + q^10 + 2q^8"
+    assert a7[4] == (1, 3, 5, 7)

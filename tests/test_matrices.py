@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from uctop.matrices import (
     rank_mod_p,
     snf,
 )
+from uctop.rootdata import CartanType, cartan_matrix
 
 from uctop.oracles import (
     coset_invariant_factors,
@@ -381,3 +383,53 @@ def test_determinant_matches_leibniz():
     assert singular and swapped, "the random cases missed singular or row-swap matrices"
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2]]).det()
+
+
+def _fraction_inverse(rows):
+    """Inverse by Gauss-Jordan over Fraction, with no integer elimination."""
+    n = len(rows)
+    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if a[i][c])
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            if i != c and (e := a[i][c]):
+                a[i] = [x - e * y for x, y in zip(a[i], a[c])]
+    return [r[n:] for r in a]
+
+
+def _zero_multiplier_matrices(rng):
+    """Regular matrices whose elimination meets rows already 0 in the pivot
+    column, under equal pivots (unitriangular, signed permutation) and under
+    changing ones (block-diagonal Cartan matrices), of rank <= 8."""
+    for n in range(1, 9):
+        upper = [[int(i == j) if j <= i else rng.randint(-3, 3) for j in range(n)]
+                 for i in range(n)]
+        yield upper
+        yield [list(r) for r in zip(*upper)]
+        perm = rng.sample(range(n), n)
+        yield [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    for factors in (
+        (("A", 1),) * 8,
+        (("A", 1), ("A", 1)),
+        (("A", 2), ("B", 3), ("G", 2)),
+        (("D", 4), ("A", 4)),
+        (("C", 3), ("F", 4), ("A", 1)),
+        (("E", 6), ("A", 2)),
+        (("E", 8),),
+    ):
+        yield cartan_matrix(CartanType(factors)).to_lists()
+
+
+def test_det_and_solve_on_rows_with_zero_multipliers():
+    rng = random.Random(14)
+    for rows in _zero_multiplier_matrices(rng):
+        n = len(rows)
+        m = IntMatrix.from_rows(rows)
+        assert m.det() == leibniz_det(rows), rows
+        num, den = m.solve(IntMatrix.identity(n))
+        assert den > 0 and math.gcd(den, *num.entries) == 1, rows
+        got = [[Fraction(e, den) for e in num.row(i)] for i in range(n)]
+        assert got == _fraction_inverse(rows), rows

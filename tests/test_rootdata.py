@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from uctop import rootdata
+from uctop.counting import e_polynomial, point_count_poly, poincare_from_purity
 from uctop.errors import UctopError
 from uctop.matrices import IntMatrix, RatMatrix, rank
 from uctop.rootdata import (
@@ -465,21 +466,37 @@ def test_center_data_caching_is_value_stable():
     assert killing_projection(d1, (), (1,)) == killing_projection(d2, (), (1,))
 
 
+COUNT_POLYNOMIALS = (point_count_poly, e_polynomial, poincare_from_purity)
+
+
 def test_cached_results_are_freed_with_their_datum():
     d = build_datum(ct(("A", 3)), IntMatrix.from_rows([[1, 0, 1], [0, 1, 0], [2, 0, 0]]))
     center = weakref.ref(center_of_levi(d, (1,)))
     projector = weakref.ref(rootdata._projector(d, (1,))[0])
+    polys = [weakref.ref(f(d)) for f in COUNT_POLYNOMIALS]
     assert center() is not None and projector() is not None  # held by d
+    assert all(p() is not None for p in polys)
     del d
     gc.collect()
     assert center() is None and projector() is None
+    assert all(p() is None for p in polys)
 
 
-def test_center_of_levi_is_cached_on_its_datum():
+def test_center_of_levi_is_cached_on_its_datum(monkeypatch):
     d = build_datum(ct(("B", 3)), "sc")
     assert center_of_levi(d, (1, 3)) is center_of_levi(d, frozenset((3, 1)))
     twin = build_datum(ct(("B", 3)), "sc")
     assert twin == d and center_of_levi(twin, (1, 3)) is not center_of_levi(d, (1, 3))
+    for f in COUNT_POLYNOMIALS:
+        assert f(d) is f(d), f.__name__
+        assert f(twin) == f(d) and f(twin) is not f(d), f.__name__
+    # |Z| is a small int, which the interpreter shares anyway: count the
+    # determinants instead of comparing identities
+    dets = []
+    det = IntMatrix.det
+    monkeypatch.setattr(IntMatrix, "det", lambda m: dets.append(m) or det(m))
+    assert center_order(d) == center_order(d) == 2 and len(dets) == 1
+    assert center_order(twin) == 2 and len(dets) == 2
 
 
 def test_threads_sharing_a_datum_get_one_cached_object():
