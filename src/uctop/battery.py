@@ -1,0 +1,247 @@
+"""The cross-module invariant battery behind `uctop check`.
+
+Each item compares one result of the pipeline with a second route to it: a
+brute-force oracle, another formula, or a guard's own test. The pipeline runs
+in stages (the invariant form, the center diagram with the battery's own
+chains, the Cech complex, the assembly), and each stage yields its value or
+the guard error it raised. That outcome sets the skip reason of every item
+that reads the stage, so a failed guard is one FAIL line, never an exception.
+"""
+
+from __future__ import annotations
+
+from . import assembly, homology, oracles, rootdata
+from .counting import e_polynomial, point_count_poly, poincare_from_purity
+from .errors import FunctorialityViolation, NontrivialPi0, UctopError, format_levi
+from .matrices import rank
+from .rootdata import (
+    RootDatum,
+    all_levi_subsets,
+    cartan_matrix,
+    center_of_levi,
+    killing_projection,
+    levi_root_matrix,
+    proper_pi0_witness,
+    weyl_order,
+)
+
+__all__ = ["run_checks"]
+
+
+def _attempt(errors, build, *args):
+    """(build(*args), None), or (None, the error) when it raises one of `errors`."""
+    try:
+        return build(*args), None
+    except errors as exc:
+        return None, exc
+
+
+def _outcome(error) -> bool | tuple[bool, str]:
+    """An item's result: pass without an error, else fail with its message."""
+    return True if error is None else (False, str(error))
+
+
+def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
+    """(name, "pass" | "fail" | "skip", detail) for each item, in output order."""
+    n = d.rank
+    items: list[tuple[str, str, str]] = []
+
+    def item(name: str, test, skip: str = "") -> None:
+        """Record `name` as skipped for `skip`, else as the result of `test()`,
+        which is ok or (ok, detail)."""
+        if skip:
+            items.append((name, "skip", skip))
+            return
+        result = test()
+        ok, detail = result if isinstance(result, tuple) else (result, "")
+        items.append((name, "pass" if ok else "fail", detail))
+
+    subsets = all_levi_subsets(n)
+    centers = {s: center_of_levi(d, s) for s in subsets}
+    # |Z| from the Smith form at S = Pi, not from `center_order`'s determinant,
+    # so the center-order items below compare two routes; the assembly items
+    # check the determinant route against the purity prediction
+    z = centers[tuple(range(1, n + 1))].pi0.order()
+
+    item(
+        "levi center dimension equals n - |S| for all S",
+        lambda: all(c.dim == n - len(s) for s, c in centers.items()),
+    )
+    item(
+        "invariant factors form divisibility chains",
+        lambda: all(
+            all(b % a == 0 for a, b in zip(c.pi0.factors, c.pi0.factors[1:]))
+            for c in centers.values()
+        ),
+    )
+    item(
+        "cocharacter bases annihilate their Levi roots",
+        lambda: all(
+            levi_root_matrix(d, s).mul(c.cochar_basis).is_zero()
+            for s, c in centers.items()
+        ),
+    )
+    item(
+        "rank-nullity for every Levi root matrix",
+        lambda: all(
+            rank(levi_root_matrix(d, s)) + c.cochar_basis.cols == n
+            for s, c in centers.items()
+        ),
+    )
+    if d.is_adjoint():
+        item(
+            "adjoint form: all component groups trivial",
+            lambda: all(c.pi0.is_trivial() for c in centers.values()),
+        )
+    if d.is_simply_connected():
+        item(
+            "simply connected form: center order equals Cartan determinant",
+            lambda: z == cartan_matrix(d.cartan_type).det(),
+        )
+    item(
+        "smith factors match minor-gcd divisors on small Levi matrices",
+        lambda: all(
+            oracles.determinantal_divisor_data(levi_root_matrix(d, s).to_lists(), n)
+            == (c.pi0.factors, len(s))
+            for s, c in centers.items()
+            if len(s) <= 4
+        ),
+    )
+    item(
+        "weyl order matches reflection enumeration",
+        lambda: weyl_order(d.cartan_type)
+        == oracles.reflection_group_order(cartan_matrix(d.cartan_type).to_lists()),
+        "rank > 4" if n > 4 else "",
+    )
+
+    # stage 1, the invariant form: invariant_form's guard, item by item, on
+    # the form it guards; every projection reads the form
+    gram = rootdata._symmetrized_cartan(d.cartan_type)
+    symmetric, definite = gram.is_symmetric(), gram.is_positive_definite()
+    item("invariant form is symmetric", lambda: symmetric)
+    item("invariant form is positive definite", lambda: definite)
+    needs_form = "" if symmetric and definite else "needs the invariant form"
+
+    # stage 2, the center diagram. build_center_diagram checks the covering
+    # triangles with a < b itself; the battery's chains are the rest (every
+    # other nested chain at n <= 4, the other middle set above), so each
+    # chain is checked once
+    proper = all_levi_subsets(n, proper=True)
+    if n <= 5:  # every nested pair, else the covering pairs
+        pairs = [(s, sp) for s in proper for sp in proper if set(s) <= set(sp)]
+    else:
+        pairs = [(s, tuple(sorted(s + (a,)))) for s in proper for a in range(1, n + 1)
+                 if a not in s and len(s) + 1 < n]
+    if n <= 4:
+        checked = set(homology._covering_triangles(n))
+        chains = [(s1, s2, s3) for s1, s2 in pairs for s3 in proper
+                  if set(s2) <= set(s3) and (s1, s2, s3) not in checked]
+    else:
+        chains = homology._covering_triangles(n, ascending=False)
+    diagram = chain_error = None
+    if not needs_form:
+        diagram, chain_error = _attempt(FunctorialityViolation, homology.build_center_diagram, d)
+    if diagram is not None:
+        _, chain_error = _attempt(FunctorialityViolation, homology._check_chains, diagram, chains)
+    # the diagram holds the covering arrows; without it each is computed here
+    arrow = (lambda s, sp: killing_projection(d, s, sp)) if diagram is None else diagram.arrow
+    item("projection functoriality over chains", lambda: _outcome(chain_error), needs_form)
+    item(
+        "projections surject onto their targets",
+        lambda: all(rank(arrow(s, sp)) == n - len(sp) for s, sp in pairs),
+        needs_form,
+    )
+
+    count = point_count_poly(d)
+    epoly = e_polynomial(d)
+    item(
+        "point count is monic of degree 2n",
+        lambda: count.degree == 2 * n and count.coeffs[-1] == 1,
+    )
+    item("point count at q = 1 equals the center order", lambda: count.evaluate(1) == z)
+    item("E(1,1) equals the center order", lambda: epoly.evaluate(1) == z)
+    if d.is_adjoint():
+        item(
+            "adjoint form: point count is exactly q^(2n)",
+            lambda: count.coeffs == (0,) * (2 * n) + (1,),
+        )
+    item(
+        "purity substitution reindexes the E-coefficients",
+        lambda: _check_substitution(epoly.coeffs, poincare_from_purity(d).coeffs, n),
+    )
+
+    # stages 3 and 4, the Cech complex and the assembly: run only when no
+    # proper Levi center is disconnected and the diagram was built
+    witness = proper_pi0_witness(d)
+    refused = f"refused at S = {format_levi(witness)}" if witness else ""
+    complex_ = dd_error = forward = report = None
+    if not refused and diagram is not None:
+        # build_cech_complex raises unless d.d = 0 on every row
+        complex_, dd_error = _attempt(FunctorialityViolation, homology.build_cech_complex, diagram)
+    if complex_ is not None:
+        forward = homology._betti_from_complex(complex_)
+        # a boundary that is not the odd sphere fails its item below
+        report, _ = _attempt(UctopError, assembly._attach_handles, d, forward)
+    needs_complex = refused or ("needs the Cech complex" if complex_ is None else "")
+    needs_assembly = needs_complex or ("needs the assembly" if report is None else "")
+
+    item(
+        "cech differentials square to zero",
+        lambda: _outcome(dd_error),
+        needs_complex if dd_error is None else "",
+    )
+    item(
+        "total euler characteristic vanishes",
+        lambda: homology.total_euler(complex_) == 0,
+        needs_complex,
+    )
+    item(
+        "row order does not change the boundary betti table",
+        lambda: forward == homology._betti_from_complex(complex_, row_order=range(n, -1, -1)),
+        needs_complex,
+    )
+    item(
+        "total betti bounded by total chain dimension",
+        lambda: forward.total() <= sum(sum(r.dims) for r in complex_.rows),
+        needs_complex,
+    )
+    sphere = (1,) + (0,) * (2 * n - 2) + (1,)
+    item(
+        "boundary homology is the odd sphere",
+        lambda: (forward.betti == sphere, f"betti {list(forward.betti)}"),
+        needs_complex,
+    )
+    item(
+        "assembled euler characteristic equals E(1,1)",
+        lambda: report.betti.euler() == epoly.evaluate(1),
+        needs_assembly,
+    )
+    item("assembled betti matches the purity prediction", lambda: report.purity_match, needs_assembly)
+    item(
+        "degree 2n-1 dies under handle attachment",
+        lambda: len(report.betti.betti) <= 2 * n - 1 or report.betti.betti[2 * n - 1] == 0,
+        needs_assembly,
+    )
+    item(
+        "intersection certificate is a positive integer",
+        lambda: report.intersection_number > 0 and report.intersection_number.denominator == 1,
+        needs_assembly,
+    )
+    if witness is None:
+        item("refusal contract: no witness, assembly succeeded", lambda: True, needs_assembly)
+    else:
+        _, refusal = _attempt(NontrivialPi0, assembly.universal_centralizer_homology, d)
+        item(
+            "refusal contract: witness found, assembly refuses with it",
+            lambda: (refusal is not None and refusal.levi == tuple(witness), refused),
+        )
+    return items
+
+
+def _check_substitution(e_coeffs, p_coeffs, n: int) -> bool:
+    padded = list(p_coeffs) + [0] * (4 * n + 1 - len(p_coeffs))
+    for k in range(2 * n + 1):
+        c = e_coeffs[k] if k < len(e_coeffs) else 0
+        if padded[4 * n - 2 * k] != c:
+            return False
+    return all(padded[j] == 0 for j in range(1, 4 * n + 1, 2))

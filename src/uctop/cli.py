@@ -14,41 +14,21 @@ nontrivial component group).
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 
 from ._value import Frozen, setfield
-from .assembly import _attach_handles, universal_centralizer_homology
+from .assembly import universal_centralizer_homology
 from .counting import e_polynomial, point_count_poly, poincare_from_purity
-from .errors import (
-    FunctorialityViolation,
-    GroupSpecError,
-    NontrivialPi0,
-    UctopError,
-    format_levi,
-)
-from .homology import (
-    _betti_from_complex,
-    _check_chains,
-    _covering_triangles,
-    boundary_homology,
-    build_cech_complex,
-    build_center_diagram,
-    total_euler,
-)
-from .matrices import IntMatrix, rank
+from .errors import GroupSpecError, NontrivialPi0, UctopError, format_levi
+from .homology import boundary_homology
+from .matrices import IntMatrix
 from .rootdata import (
     CartanType,
     RootDatum,
-    _symmetrized_cartan,
     all_levi_subsets,
     build_datum,
-    cartan_matrix,
     center_of_levi,
     center_order,
-    killing_projection,
-    levi_root_matrix,
-    proper_pi0_witness,
     weyl_order,
 )
 
@@ -270,7 +250,9 @@ def _cmd_jgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
 
 
 def _cmd_check(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
-    items = _run_checks(d)
+    from . import battery  # the battery and its oracles load only for `check`
+
+    items = battery.run_checks(d)
     table = [{"name": name, "status": status, "detail": detail} for name, status, detail in items]
     lines = []
     for name, status, detail in items:
@@ -283,240 +265,6 @@ def _cmd_check(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
         f"{sum(1 for _, s, _ in items if s == 'skip')} skipped"
     )
     return {"checks": table, "failed": failed}, lines
-
-
-# ---------------------------------------------------------------------------
-# the cross-module invariant battery behind `check`
-
-
-def _run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
-    from . import oracles  # brute force; loaded only when the battery runs
-
-    n = d.rank
-    items: list[tuple[str, str, str]] = []
-
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        items.append((name, "pass" if ok else "fail", detail))
-
-    def run(checks, skip: str = "") -> None:
-        """Record (name, predicate) entries; a predicate returns ok or (ok, detail).
-
-        With a `skip` reason, every entry is recorded as skipped for it and
-        no predicate runs.
-        """
-        for name, predicate in checks:
-            if skip:
-                items.append((name, "skip", skip))
-            else:
-                result = predicate()
-                ok, detail = result if isinstance(result, tuple) else (result, "")
-                add(name, ok, detail)
-
-    subsets = all_levi_subsets(n)
-    centers = {s: center_of_levi(d, s) for s in subsets}
-    # |Z| from the Smith form at S = Pi, not from `center_order`'s determinant,
-    # so the center-order items below compare two routes; the assembly items
-    # check the determinant route against the purity prediction
-    z = centers[tuple(range(1, n + 1))].pi0.order()
-
-    add(
-        "levi center dimension equals n - |S| for all S",
-        all(c.dim == n - len(s) for s, c in centers.items()),
-    )
-    add(
-        "invariant factors form divisibility chains",
-        all(
-            all(b % a == 0 for a, b in zip(c.pi0.factors, c.pi0.factors[1:]))
-            for c in centers.values()
-        ),
-    )
-    add(
-        "cocharacter bases annihilate their Levi roots",
-        all(
-            levi_root_matrix(d, s).mul(c.cochar_basis).is_zero()
-            for s, c in centers.items()
-        ),
-    )
-    add(
-        "rank-nullity for every Levi root matrix",
-        all(
-            rank(levi_root_matrix(d, s)) + c.cochar_basis.cols == n
-            for s, c in centers.items()
-        ),
-    )
-    if d.is_adjoint():
-        add(
-            "adjoint form: all component groups trivial",
-            all(c.pi0.is_trivial() for c in centers.values()),
-        )
-    if d.is_simply_connected():
-        add(
-            "simply connected form: center order equals Cartan determinant",
-            z == cartan_matrix(d.cartan_type).det(),
-        )
-    add(
-        "smith factors match minor-gcd divisors on small Levi matrices",
-        all(
-            oracles.determinantal_divisor_data(levi_root_matrix(d, s).to_lists(), n)
-            == (c.pi0.factors, len(s))
-            for s, c in centers.items()
-            if len(s) <= 4
-        ),
-    )
-    run(
-        [
-            (
-                "weyl order matches reflection enumeration",
-                lambda: weyl_order(d.cartan_type)
-                == oracles.reflection_group_order(cartan_matrix(d.cartan_type).to_lists()),
-            )
-        ],
-        skip="rank > 4" if n > 4 else "",
-    )
-    # invariant_form's guard, item by item, on the form it guards
-    gram = _symmetrized_cartan(d.cartan_type)
-    symmetric, definite = gram.is_symmetric(), gram.is_positive_definite()
-    add("invariant form is symmetric", symmetric)
-    add("invariant form is positive definite", definite)
-
-    proper = all_levi_subsets(n, proper=True)
-    # build_center_diagram checks the covering triangles with a < b itself;
-    # the chains here are the rest, so each chain is checked once
-    if n <= 4:
-        checked = set(_covering_triangles(n))
-        chains = [
-            (s1, s2, s3)
-            for s1, s2, s3 in itertools.product(proper, repeat=3)
-            if set(s1) <= set(s2) <= set(s3) and (s1, s2, s3) not in checked
-        ]
-    else:
-        chains = _covering_triangles(n, ascending=False)
-    diagram = None
-
-    def functorial():
-        nonlocal diagram
-        try:
-            diagram = build_center_diagram(d)
-            _check_chains(diagram, chains)
-        except FunctorialityViolation as exc:
-            return False, str(exc)
-        return True
-
-    def surjective():
-        # the diagram holds the covering arrows; without it each is computed here
-        arrow = (lambda s, sp: killing_projection(d, s, sp)) if diagram is None else diagram.arrow
-        if n <= 5:  # every nested pair, else the covering pairs
-            pairs = ((s, sp) for s in proper for sp in proper if set(s) <= set(sp))
-        else:
-            pairs = ((s, tuple(sorted(s + (a,)))) for s in proper for a in range(1, n + 1)
-                     if a not in s and len(s) + 1 < n)
-        return all(rank(arrow(s, sp)) == n - len(sp) for s, sp in pairs)
-
-    # every projection reads the form, and the Cech items below need the diagram
-    run(
-        [
-            ("projection functoriality over chains", functorial),
-            ("projections surject onto their targets", surjective),
-        ],
-        skip="" if symmetric and definite else "needs the invariant form",
-    )
-
-    count = point_count_poly(d)
-    add(
-        "point count is monic of degree 2n",
-        count.degree == 2 * n and count.coeffs[-1] == 1,
-    )
-    add("point count at q = 1 equals the center order", count.evaluate(1) == z)
-    epoly = e_polynomial(d)
-    add("E(1,1) equals the center order", epoly.evaluate(1) == z)
-    if d.is_adjoint():
-        expected = (0,) * (2 * n) + (1,)
-        add("adjoint form: point count is exactly q^(2n)", count.coeffs == expected)
-    poincare = poincare_from_purity(d)
-    add(
-        "purity substitution reindexes the E-coefficients",
-        _check_substitution(epoly.coeffs, poincare.coeffs, n),
-    )
-
-    # these read the complex, its Betti table and the assembly below; they run only
-    # when no proper Levi center is disconnected and every guard on the way passes
-    sphere = (1,) + (0,) * (2 * n - 2) + (1,)
-    complex_checks = [
-        # build_cech_complex raises unless d.d = 0 on every row
-        ("cech differentials square to zero", lambda: True),
-        ("total euler characteristic vanishes", lambda: total_euler(complex_) == 0),
-        (
-            "row order does not change the boundary betti table",
-            lambda: forward == _betti_from_complex(complex_, row_order=range(n, -1, -1)),
-        ),
-        (
-            "total betti bounded by total chain dimension",
-            lambda: forward.total() <= sum(sum(r.dims) for r in complex_.rows),
-        ),
-        (
-            "boundary homology is the odd sphere",
-            lambda: (forward.betti == sphere, f"betti {list(forward.betti)}"),
-        ),
-    ]
-    assembly_checks = [
-        (
-            "assembled euler characteristic equals E(1,1)",
-            lambda: report.betti.euler() == epoly.evaluate(1),
-        ),
-        ("assembled betti matches the purity prediction", lambda: report.purity_match),
-        (
-            "degree 2n-1 dies under handle attachment",
-            lambda: len(report.betti.betti) <= 2 * n - 1
-            or report.betti.betti[2 * n - 1] == 0,
-        ),
-        (
-            "intersection certificate is a positive integer",
-            lambda: report.intersection_number > 0
-            and report.intersection_number.denominator == 1,
-        ),
-    ]
-    witness = proper_pi0_witness(d)
-    if witness is None:
-        assembly_checks.append(("refusal contract: no witness, assembly succeeded", lambda: True))
-        complex_ = None
-        if diagram is not None:
-            try:
-                complex_ = build_cech_complex(diagram)
-            except FunctorialityViolation as exc:
-                name, _ = complex_checks.pop(0)  # the d.d = 0 entry
-                add(name, False, str(exc))
-        complex_skip = assembly_skip = "needs the Cech complex"
-        if complex_ is not None:
-            forward, complex_skip, assembly_skip = _betti_from_complex(complex_), "", ""
-            try:
-                report = _attach_handles(d, forward)
-            except UctopError:  # the boundary is not the odd sphere; that item fails
-                assembly_skip = "needs the assembly"
-        run(complex_checks, skip=complex_skip)
-        run(assembly_checks, skip=assembly_skip)
-    else:
-        detail = f"refused at S = {format_levi(witness)}"
-        run(complex_checks + assembly_checks, skip=detail)
-        refused = False
-        try:
-            universal_centralizer_homology(d)
-        except NontrivialPi0 as exc:
-            refused = tuple(exc.levi) == tuple(witness)
-        add(
-            "refusal contract: witness found, assembly refuses with it",
-            refused,
-            detail,
-        )
-    return items
-
-
-def _check_substitution(e_coeffs, p_coeffs, n: int) -> bool:
-    padded = list(p_coeffs) + [0] * (4 * n + 1 - len(p_coeffs))
-    for k in range(2 * n + 1):
-        c = e_coeffs[k] if k < len(e_coeffs) else 0
-        if padded[4 * n - 2 * k] != c:
-            return False
-    return all(padded[j] == 0 for j in range(1, 4 * n + 1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -383,7 +383,7 @@ def killing_projection(
     if not set(s) <= set(sp):
         raise ValueError(f"Levi set {s} is not contained in {sp}")
     num, den = _projector(d, sp)
-    return num.mul(center_of_levi(d, s).cochar_basis).to_rational(den)
+    return num.mul(_center_of_levi_cached(d, s).cochar_basis).to_rational(den)
 
 
 def all_levi_subsets(n: int, proper: bool = False) -> list[tuple[int, ...]]:

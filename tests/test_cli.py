@@ -290,10 +290,10 @@ def test_check_command(capsys):
 
 
 def test_check_failure_exits_1(capsys, monkeypatch):
-    import uctop.cli as cli
+    from uctop import battery
 
     monkeypatch.setattr(
-        cli, "_run_checks", lambda d: [("rigged to fail", "fail", "injected")]
+        battery, "run_checks", lambda d: [("rigged to fail", "fail", "injected")]
     )
     code, out, _ = run_cli(capsys, "check", "A1:sc")
     assert code == 1
@@ -310,7 +310,6 @@ def test_check_failure_exits_1(capsys, monkeypatch):
     ],
 )
 def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
-    import uctop.cli as cli
     from uctop import homology, rootdata
 
     spec = "A3:adjoint"
@@ -325,7 +324,6 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
         def broken(*args, **kwargs):
             return homology.BettiTable((1, 0, 1))
 
-        monkeypatch.setattr(cli, guard, broken)
         monkeypatch.setattr(homology, guard, broken)
         error = "boundary homology is not the expected odd sphere; assembly premises are violated"
         failed = f"FAIL {item} (betti [1, 0, 1])"
@@ -380,7 +378,7 @@ def test_rank_gate_comes_before_any_n_by_n_work(capsys, monkeypatch):
 
     for module in (cli, rootdata):
         monkeypatch.setattr(module, "build_datum", refuse)
-        monkeypatch.setattr(module, "cartan_matrix", refuse)
+    monkeypatch.setattr(rootdata, "cartan_matrix", refuse)
     assert run_cli(capsys, "count", "A100000:sc") == (
         1, "", "error: total rank 100000 exceeds --max-rank=8\n"
     )
@@ -392,7 +390,6 @@ def test_rank_gate_comes_before_any_n_by_n_work(capsys, monkeypatch):
 def test_check_compares_each_chain_once(capsys, monkeypatch, spec):
     import itertools
 
-    import uctop.cli as cli
     from uctop import homology
     from uctop.rootdata import all_levi_subsets
 
@@ -405,7 +402,6 @@ def test_check_compares_each_chain_once(capsys, monkeypatch, spec):
         original(diagram, chains)
 
     monkeypatch.setattr(homology, "_check_chains", recording)
-    monkeypatch.setattr(cli, "_check_chains", recording)
     code, out, _ = run_cli(capsys, "check", spec)
     assert code == 0 and "PASS projection functoriality over chains" in out
     n = parse_spec(spec).cartan_type.rank
@@ -422,9 +418,49 @@ def test_check_compares_each_chain_once(capsys, monkeypatch, spec):
     assert sorted(seen) == sorted(want)
 
 
+@pytest.mark.parametrize(
+    "spec, summary, skipped",
+    [
+        ("A3:adjoint", "26 checks: 25 passed, 1 failed, 0 skipped", []),
+        (
+            "A5:adjoint",
+            "26 checks: 24 passed, 1 failed, 1 skipped",
+            ["SKIP weyl order matches reflection enumeration (rank > 4)"],
+        ),
+    ],
+)
+def test_failed_battery_chains_leave_the_diagram_to_later_stages(
+    capsys, monkeypatch, spec, summary, skipped
+):
+    # only the chains the battery adds fail: build_center_diagram's own
+    # ascending covering triangles pass, so the diagram exists and the Cech
+    # and assembly items still run on it
+    from uctop import homology
+
+    original = homology._check_chains
+
+    def rigged(diagram, chains):
+        chains = list(chains)
+        ascending = set(homology._covering_triangles(diagram.datum.rank))
+        if any(chain not in ascending for chain in chains):
+            raise FunctorialityViolation("rigged battery chains")
+        original(diagram, chains)
+
+    monkeypatch.setattr(homology, "_check_chains", rigged)
+    code, out, err = run_cli(capsys, "check", spec)
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert [x for x in lines if x.startswith("FAIL")] == [
+        "FAIL projection functoriality over chains (rigged battery chains)"
+    ]
+    assert [x for x in lines if x.startswith("SKIP")] == skipped
+    assert lines[-1] == summary
+    assert "PASS cech differentials square to zero" in lines
+    assert "PASS refusal contract: no witness, assembly succeeded" in lines
+
+
 @pytest.mark.parametrize("spec", ["A4:sc", "A5:adjoint"])
 def test_check_projects_each_nested_pair_once(capsys, monkeypatch, spec):
-    import uctop.cli as cli
     from uctop import homology
     from uctop.rootdata import killing_projection
 
@@ -435,7 +471,6 @@ def test_check_projects_each_nested_pair_once(capsys, monkeypatch, spec):
         return killing_projection(d, s, sp)
 
     monkeypatch.setattr(homology, "killing_projection", counting)
-    monkeypatch.setattr(cli, "killing_projection", counting)
     code, out, _ = run_cli(capsys, "check", spec)
     assert code == 0 and "0 failed" in out
     assert calls and len(calls) == len(set(calls))
@@ -544,18 +579,20 @@ def test_oracles_stay_independent_of_the_library():
             continue
         for name in names:
             assert name.split(".")[0] in sys.stdlib_module_names, name
-    # the package loads the oracles only when `check` runs
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, uctop, uctop.cli; print('uctop.oracles' in sys.modules)",
-        ],
-        capture_output=True,
-        text=True,
+    # the package loads the battery and its oracles only when `check` runs
+    probe = (
+        "import io, sys, contextlib, uctop, uctop.cli\n"
+        "def loaded(): return [m in sys.modules for m in ('uctop.battery', 'uctop.oracles')]\n"
+        "seen = [loaded()]\n"
+        "for argv in (['jgbetti', 'A2:adjoint'], ['check', 'A1:adjoint']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert uctop.cli.main(argv) == 0\n"
+        "    seen.append(loaded())\n"
+        "print(seen)\n"
     )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[[False, False], [False, False], [True, True]]"
 
 
 # run in a bare interpreter (-S: no site hooks) with PYTHONPATH=src; prints
