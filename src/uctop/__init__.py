@@ -8,15 +8,6 @@ Betti table of the universal centralizer via handle attachment, cross-checked
 against the purity prediction.
 """
 
-from .assembly import AssemblyReport, intersection_number, universal_centralizer_homology
-from .counting import (
-    QPolynomial,
-    e_polynomial,
-    format_poly,
-    point_count_poly,
-    poincare_from_purity,
-    purity_poincare_coeffs,
-)
 from .errors import (
     FunctorialityViolation,
     GroupSpecError,
@@ -24,15 +15,6 @@ from .errors import (
     NonPolynomialResult,
     NontrivialPi0,
     UctopError,
-)
-from .homology import (
-    BettiTable,
-    CechComplex,
-    CenterDiagram,
-    boundary_homology,
-    build_cech_complex,
-    build_center_diagram,
-    total_euler,
 )
 from .matrices import (
     IntMatrix,
@@ -59,3 +41,42 @@ from .rootdata import (
 )
 
 __version__ = "0.1.0"
+
+# The homology, the assembly and the count polynomials load on first use, so
+# that a command which never reads them does not compile them (PEP 562).
+_LAZY = {
+    "assembly": ("AssemblyReport", "intersection_number", "universal_centralizer_homology"),
+    "counting": (
+        "QPolynomial",
+        "e_polynomial",
+        "format_poly",
+        "point_count_poly",
+        "poincare_from_purity",
+        "purity_poincare_coeffs",
+    ),
+    "homology": (
+        "BettiTable",
+        "CechComplex",
+        "CenterDiagram",
+        "boundary_homology",
+        "build_cech_complex",
+        "build_center_diagram",
+        "total_euler",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_MODULE})

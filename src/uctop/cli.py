@@ -17,10 +17,7 @@ import argparse
 import sys
 
 from ._value import Frozen, setfield
-from .assembly import universal_centralizer_homology
-from .counting import e_polynomial, point_count_poly, poincare_from_purity
 from .errors import GroupSpecError, NontrivialPi0, UctopError, format_levi
-from .homology import boundary_homology
 from .matrices import IntMatrix
 from .rootdata import (
     CartanType,
@@ -169,7 +166,8 @@ def _parse_isogeny_part(compact: str, pos: int, n: int) -> str | IntMatrix:
 # ---------------------------------------------------------------------------
 # command implementations: each returns its JSON sections and its table
 # lines; `main` puts "command" and "spec" before the sections in the JSON,
-# and exits 1 when sections["failed"] is set
+# and exits 1 when sections["failed"] is set. Each imports the modules past
+# `rootdata` that it reads, so no command loads what it never runs.
 
 
 def _cmd_info(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
@@ -210,27 +208,37 @@ def _poly_sections(poly) -> dict:
 
 
 def _cmd_count(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
+    from .counting import point_count_poly
+
     poly = point_count_poly(d)
     return _poly_sections(poly), [str(poly)]
 
 
 def _cmd_epoly(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
+    from .counting import e_polynomial
+
     poly = e_polynomial(d)
     return {**_poly_sections(poly), "value_at_one": poly.evaluate(1)}, [str(poly)]
 
 
 def _cmd_poincare(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
+    from .counting import poincare_from_purity
+
     poly = poincare_from_purity(d)
     label = "purity-predicted"
     return {**_poly_sections(poly), "label": label}, [str(poly), f"label: {label}"]
 
 
 def _cmd_cgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
+    from .homology import boundary_homology
+
     betti = list(boundary_homology(d).betti)
     return {"betti": betti}, [f"betti: {betti}"]
 
 
 def _cmd_jgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
+    from .assembly import universal_centralizer_homology
+
     report = universal_centralizer_homology(d)
     sections = {
         "betti": list(report.betti.betti),

@@ -97,8 +97,9 @@ class IntMatrix(Frozen):
         pivot, sign = _bareiss(self.to_lists(), self.rows)
         return sign * pivot
 
-    def solve(self, rhs: IntMatrix) -> tuple[IntMatrix, int]:
-        """Exact solution X of self . X = rhs, as (N, den) with X = N / den.
+    def solve(self, rhs: IntMatrix) -> tuple[IntMatrix, int, int]:
+        """Exact solution X of self . X = rhs, as (N, den, det) with X = N / den
+        and det the determinant of self.
 
         One `_bareiss` run on the augmented matrix leaves its left block as
         (+-det) . I. `den` is positive and shares no factor with all of N.
@@ -108,14 +109,14 @@ class IntMatrix(Frozen):
         if self.cols != n or rhs.rows != n:
             raise ValueError("solve needs a square matrix and a matching right side")
         a = [list(self.row(i)) + list(rhs.row(i)) for i in range(n)]
-        pivot, _ = _bareiss(a, n)
+        pivot, sign = _bareiss(a, n)
         if not pivot:
             raise ValueError("matrix is singular")
         num = [e for row in a for e in row[n:]]
         g = math.gcd(pivot, *num)
         if pivot < 0:
             g = -g
-        return IntMatrix(n, rhs.cols, tuple(e // g for e in num)), pivot // g
+        return IntMatrix(n, rhs.cols, tuple(e // g for e in num)), pivot // g, sign * pivot
 
     def to_rational(self, den: int = 1) -> RatMatrix:
         """This matrix divided by `den`, as a rational matrix."""
@@ -297,9 +298,12 @@ def snf(m: IntMatrix) -> tuple[InvariantFactors, IntMatrix]:
     """
     a = m.to_lists()
     nr, nc = m.rows, m.cols
-    # v accumulates the column operations; its trailing columns end up
-    # spanning the integer kernel.
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    # v accumulates the column operations, stored by columns (v[j] is column
+    # j), so a column operation is one list update; its trailing columns end
+    # up spanning the integer kernel.
+    v = [[0] * nc for _ in range(nc)]
+    for j in range(nc):
+        v[j][j] = 1
     diag: list[int] = []
     t = 0
     while t < min(nr, nc):
@@ -331,27 +335,24 @@ def snf(m: IntMatrix) -> tuple[InvariantFactors, IntMatrix]:
                     for i in range(nr):
                         if a[i][t]:
                             a[i][j] -= q * a[i][t]
-                    for i in range(nc):
-                        if v[i][t]:
-                            v[i][j] -= q * v[i][t]
+                    v[j] = [x - q * y for x, y in zip(v[j], v[t])]
                 if a[t][j]:
                     for i in range(nr):
                         a[i][t], a[i][j] = a[i][j], a[i][t]
-                    for i in range(nc):
-                        v[i][t], v[i][j] = v[i][j], v[i][t]
+                    v[t], v[j] = v[j], v[t]
                     changed = True
             if changed:
                 continue
-            # pivot must divide every entry of the trailing block
-            bad = _nondivisible(a, nr, nc, t)
+            # pivot must divide every entry of the trailing block (a unit does)
+            bad = None if a[t][t] == 1 else _nondivisible(a, nr, nc, t)
             if bad is None:
                 break
             a[t] = [e + f for e, f in zip(a[t], a[bad])]
         diag.append(a[t][t])
         t += 1
     rank_ = len(diag)
-    kernel = IntMatrix.from_rows([row[rank_:] for row in v], cols=nc - rank_)
-    return InvariantFactors(tuple(d for d in diag if d >= 2)), kernel
+    kernel = tuple(itertools.chain.from_iterable(zip(*v[rank_:])))
+    return InvariantFactors(tuple(d for d in diag if d >= 2)), IntMatrix(nc, nc - rank_, kernel)
 
 
 def _smallest_nonzero(a, nr, nc, t):
@@ -374,8 +375,7 @@ def _move_pivot(a, v, nr, t, piv):
     if pj != t:
         for i in range(nr):
             a[i][t], a[i][pj] = a[i][pj], a[i][t]
-        for i in range(len(v)):
-            v[i][t], v[i][pj] = v[i][pj], v[i][t]
+        v[t], v[pj] = v[pj], v[t]
 
 
 def _nondivisible(a, nr, nc, t):

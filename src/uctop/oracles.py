@@ -34,18 +34,39 @@ def leibniz_det(rows):
     return total
 
 
-def determinantal_divisor_data(rows, cols=None):
-    """(nontrivial invariant factors, rank) from gcds of all k x k minors."""
+def minor_gcds(rows, cols=None, size=None):
+    """{T: gcd of every |T| x |T| minor on the rows T} for each row set T (a
+    sorted index tuple) of at most `size` rows (default: all of them); the
+    gcd is 0 when there is no such minor or they all vanish."""
     nr = len(rows)
     nc = len(rows[0]) if rows else (cols or 0)
-    divisors = [1]
-    for k in range(1, min(nr, nc) + 1):
-        g = 0
+    table = {}
+    for k in range(min(nr, nr if size is None else size) + 1):
         for ridx in itertools.combinations(range(nr), k):
+            g = 0
             for cidx in itertools.combinations(range(nc), k):
                 sub = [[rows[i][j] for j in cidx] for i in ridx]
                 g = math.gcd(g, leibniz_det(sub))
-        divisors.append(g)
+            table[ridx] = g
+    return table
+
+
+def determinantal_divisor_data(rows, cols=None):
+    """(nontrivial invariant factors, rank) from gcds of all k x k minors."""
+    return subset_divisor_data(minor_gcds(rows, cols), tuple(range(len(rows))))
+
+
+def subset_divisor_data(gcds, subset):
+    """`determinantal_divisor_data` of the matrix made of the rows `subset`
+    (a sorted index tuple) of the matrix whose `minor_gcds` table is `gcds`.
+
+    Its k x k minors are the minors on the row sets T in `subset` with
+    |T| = k, so its k-th determinantal divisor is the gcd of their g(T).
+    """
+    divisors = [1] + [
+        math.gcd(*(gcds[t] for t in itertools.combinations(subset, k)))
+        for k in range(1, len(subset) + 1)
+    ]
     rank = max((k for k, g in enumerate(divisors) if g != 0), default=0)
     factors = tuple(
         divisors[k] // divisors[k - 1]

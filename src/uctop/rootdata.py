@@ -217,12 +217,19 @@ def build_datum(t: CartanType, isogeny: str | IntMatrix) -> RootDatum:
 def _roots_in_basis(d: RootDatum) -> IntMatrix:
     """R = A . L^(-1): row i writes the simple root alpha_i in the char-lattice basis.
 
-    One fraction-free solve of L^T X = A^T. The solution comes back in lowest
+    The bases `build_datum` gives the named isogenies need no solve: L = A
+    gives R = I and L = I gives R = A. Any other basis takes one
+    fraction-free solve of L^T X = A^T. The solution comes back in lowest
     terms, so R is integral exactly when its denominator is 1, i.e. when the
     lattice contains the root lattice.
     """
+    cartan, identity = cartan_matrix(d.cartan_type), IntMatrix.identity(d.rank)
+    if d.char_lattice == cartan:
+        return identity
+    if d.char_lattice == identity:
+        return cartan
     try:
-        x, den = d.char_lattice.transpose().solve(cartan_matrix(d.cartan_type).transpose())
+        x, den, _ = d.char_lattice.transpose().solve(cartan.transpose())
     except ValueError:
         raise ValueError("lattice basis matrix is singular") from None
     if den != 1:
@@ -259,8 +266,10 @@ def _normalize_levi(d: RootDatum, levi: Iterable[int]) -> tuple[int, ...]:
 
 def levi_root_matrix(d: RootDatum, levi: Iterable[int]) -> IntMatrix:
     """Rows: the simple roots indexed by `levi` written in the char-lattice basis."""
-    r = _roots_in_basis(d)
-    return IntMatrix.from_rows([r.row(i - 1) for i in _normalize_levi(d, levi)], cols=d.rank)
+    r, n = _roots_in_basis(d).entries, d.rank
+    s = _normalize_levi(d, levi)
+    rows = (r[(i - 1) * n : i * n] for i in s)
+    return IntMatrix(len(s), n, tuple(itertools.chain.from_iterable(rows)))
 
 
 @memoized
@@ -276,15 +285,15 @@ def center_of_levi(d: RootDatum, levi: Iterable[int]) -> CenterData:
     return _center_of_levi_cached(d, _normalize_levi(d, levi))
 
 
-@memoized
 def center_order(d: RootDatum) -> int:
     """Order of the center of the group: |Z| = |X/Q| = |det R|.
 
     R = `_roots_in_basis` presents X/Q (X the character lattice, Q the root
     lattice), so its determinant is the order of the S = Pi component group
-    with no Smith form and no enumeration of X/Q: one Bareiss elimination.
+    with no Smith form and no enumeration of X/Q. It is read from the
+    elimination `_inverse_roots` runs for the classes of X/Q.
     """
-    return abs(_roots_in_basis(d).det())
+    return abs(_inverse_roots(d)[2])
 
 
 def invariant_form(d: RootDatum) -> IntMatrix:
@@ -349,8 +358,8 @@ def _dual_gram(d: RootDatum) -> IntMatrix:
     projections do not see the scale.
     """
     lat_t = d.char_lattice.transpose()
-    y, _ = lat_t.solve(invariant_form(d))  # L^-T G
-    m, _ = lat_t.solve(y.transpose())  # L^-T G L^-1, as G is symmetric
+    y, _, _ = lat_t.solve(invariant_form(d))  # L^-T G
+    m, _, _ = lat_t.solve(y.transpose())  # L^-T G L^-1, as G is symmetric
     return m
 
 
@@ -365,7 +374,8 @@ def _projector(d: RootDatum, sp: tuple[int, ...]) -> tuple[IntMatrix, int]:
     """
     bp = center_of_levi(d, sp).cochar_basis
     bp_t_g = bp.transpose().mul(_dual_gram(d))
-    return bp_t_g.mul(bp).solve(bp_t_g)
+    num, den, _ = bp_t_g.mul(bp).solve(bp_t_g)
+    return num, den
 
 
 def killing_projection(
@@ -412,17 +422,24 @@ class QuotientSupports(Frozen):
         setfield(self, "witness", witness)
 
 
+@memoized
+def _inverse_roots(d: RootDatum) -> tuple[IntMatrix, int, int]:
+    """(N, den, det R) with R^(-T) = N / den, for R = `_roots_in_basis`: one
+    fraction-free solve of R^T X = I, whose elimination also ends with det R."""
+    return _roots_in_basis(d).transpose().solve(IntMatrix.identity(d.rank))
+
+
 def _class_supports(d: RootDatum) -> list[int]:
     """The support of every class of X/Q as a bitmask (bit i - 1 for alpha_i).
 
-    One fraction-free solve gives R^(-T) = N / den for R = `_roots_in_basis`.
+    `_inverse_roots` gives R^(-T) = N / den for R = `_roots_in_basis`.
     A character x (column, char-lattice basis) has simple-root coordinates
     N x / den, so x -> N x mod den has kernel exactly Q: X/Q is the subgroup
     of (Z/den)^n spanned by the columns of N mod den, and a class's support
     is the set of its nonzero coordinates.
     """
     n = d.rank
-    num, den = _roots_in_basis(d).transpose().solve(IntMatrix.identity(n))
+    num, den, _ = _inverse_roots(d)
     zero = (0,) * n
     elements, seen = [zero], {zero}
     for j in range(n):

@@ -597,10 +597,10 @@ def test_oracles_stay_independent_of_the_library():
 
 # run in a bare interpreter (-S: no site hooks) with PYTHONPATH=src; prints
 # main's output, then "#", whether json is loaded after main, and the
-# modules that importing the CLI added
+# modules that importing the CLI and running main added
 _IMPORT_PROBE = (
     "import sys; pre = set(sys.modules); from uctop.cli import main; "
-    "new = set(sys.modules) - pre; rc = main(sys.argv[1:]); "
+    "rc = main(sys.argv[1:]); new = set(sys.modules) - pre; "
     "print('#', 'json' in sys.modules, *sorted(new)); sys.exit(rc)"
 )
 
@@ -639,6 +639,43 @@ def test_cli_import_stays_light():
     code, out, json_loaded, _ = _import_probe(*key.split())
     assert code == golden[key]["rc"] == 0 and json_loaded
     assert out == golden[key]["out"]
+    # the count side loads no homology, assembly or battery, and `info` not
+    # even the count polynomials
+    unread = {"uctop.homology", "uctop.assembly", "uctop.battery", "uctop.oracles"}
+    code, out, _, new = _import_probe("info", "A1:adjoint")
+    assert code == 0
+    assert out == "group: A1:adjoint\nrank: 1\ncenter order: 1\nweyl order: 2\n"
+    assert not new & (unread | {"uctop.counting"})
+    code, out, _, new = _import_probe("count", "A3:sc")
+    assert code == 0 and out == "q^6 + q^4 + 2q^3\n"
+    assert "uctop.counting" in new and not new & unread
+
+
+def test_package_names_load_on_first_use():
+    # `from uctop import ...` still gives every public name; the homology,
+    # the assembly and the count polynomials load when one is first read
+    probe = (
+        "import sys, uctop\n"
+        "before = [m in sys.modules for m in ('uctop.counting', 'uctop.homology', 'uctop.assembly')]\n"
+        "from uctop import boundary_homology, universal_centralizer_homology\n"
+        "import uctop.counting, uctop.homology, uctop.assembly\n"
+        "assert boundary_homology is uctop.homology.boundary_homology\n"
+        "for name, module in uctop._LAZY_MODULE.items():\n"
+        "    assert getattr(uctop, name) is getattr(sys.modules['uctop.' + module], name)\n"
+        "    assert name in dir(uctop)\n"
+        "try:\n"
+        "    uctop.no_such_name\n"
+        "except AttributeError:\n"
+        "    print(before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, False]"
 
 
 def test_module_entry_point_runs():

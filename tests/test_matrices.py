@@ -28,7 +28,9 @@ from uctop.oracles import (
     cramer_solve,
     determinantal_divisor_data,
     leibniz_det,
+    minor_gcds,
     naive_rank,
+    subset_divisor_data,
 )
 
 
@@ -165,6 +167,19 @@ def test_snf_against_coset_enumeration():
         assert snf(IntMatrix.from_rows(rows))[0].factors == want, rows
 
 
+def test_minor_gcd_table_gives_the_divisors_of_every_row_subset():
+    # one table of a matrix's minors serves each matrix made of its rows
+    rng = random.Random(16)
+    for _ in range(20):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 4)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(nc)] for _ in range(nr)]
+        gcds = minor_gcds(rows, nc, 3)
+        for k in range(4):
+            for sub in itertools.combinations(range(nr), k):
+                want = determinantal_divisor_data([rows[i] for i in sub], nc)
+                assert subset_divisor_data(gcds, sub) == want, (rows, sub)
+
+
 # ---------------------------------------------------------------------------
 # rank
 
@@ -282,8 +297,8 @@ def test_int_solve_matches_rational_inverse():
                 m.solve(IntMatrix.from_rows([[0] * k for _ in range(n)], cols=k))
             continue
         rhs = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(k)] for _ in range(n)], cols=k)
-        num, den = m.solve(rhs)
-        assert den > 0
+        num, den, solved_det = m.solve(rhs)
+        assert den > 0 and solved_det == det  # the determinant its elimination ends with
         assert det % den == 0  # X = adj(m) rhs / det, so the lowest terms divide it
         for j in range(k):
             want = cramer_solve(m.to_lists(), rhs.column(j))
@@ -429,7 +444,8 @@ def test_det_and_solve_on_rows_with_zero_multipliers():
         n = len(rows)
         m = IntMatrix.from_rows(rows)
         assert m.det() == leibniz_det(rows), rows
-        num, den = m.solve(IntMatrix.identity(n))
+        num, den, det = m.solve(IntMatrix.identity(n))
+        assert det == leibniz_det(rows), rows
         assert den > 0 and math.gcd(den, *num.entries) == 1, rows
         got = [[Fraction(e, den) for e in num.row(i)] for i in range(n)]
         assert got == _fraction_inverse(rows), rows

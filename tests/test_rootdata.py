@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import random
 import sys
 import threading
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from uctop import rootdata
+from uctop import matrices, rootdata
+from uctop.cli import parse_spec
 from uctop.counting import e_polynomial, point_count_poly, poincare_from_purity
 from uctop.errors import UctopError
 from uctop.matrices import IntMatrix, RatMatrix, rank
@@ -35,6 +39,9 @@ from uctop.oracles import (
     leibniz_det,
     reflection_group_order,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def ct(*factors) -> CartanType:
@@ -482,21 +489,52 @@ def test_cached_results_are_freed_with_their_datum():
     assert all(p() is None for p in polys)
 
 
+def _count_eliminations(monkeypatch) -> list[int]:
+    """Patch matrices._bareiss, behind every determinant and solve, to
+    record the size of each elimination it runs."""
+    runs: list[int] = []
+    bareiss = matrices._bareiss
+    monkeypatch.setattr(matrices, "_bareiss", lambda a, n: runs.append(n) or bareiss(a, n))
+    return runs
+
+
 def test_center_of_levi_is_cached_on_its_datum(monkeypatch):
     d = build_datum(ct(("B", 3)), "sc")
     assert center_of_levi(d, (1, 3)) is center_of_levi(d, frozenset((3, 1)))
     twin = build_datum(ct(("B", 3)), "sc")
     assert twin == d and center_of_levi(twin, (1, 3)) is not center_of_levi(d, (1, 3))
+    # |Z| is a small int, which the interpreter shares anyway: count the
+    # eliminations instead of comparing identities
+    runs = _count_eliminations(monkeypatch)
+    assert center_order(d) == center_order(d) == 2 and len(runs) == 1
+    assert center_order(twin) == 2 and len(runs) == 2
     for f in COUNT_POLYNOMIALS:
         assert f(d) is f(d), f.__name__
         assert f(twin) == f(d) and f(twin) is not f(d), f.__name__
-    # |Z| is a small int, which the interpreter shares anyway: count the
-    # determinants instead of comparing identities
-    dets = []
-    det = IntMatrix.det
-    monkeypatch.setattr(IntMatrix, "det", lambda m: dets.append(m) or det(m))
-    assert center_order(d) == center_order(d) == 2 and len(dets) == 1
-    assert center_order(twin) == 2 and len(dets) == 2
+
+
+@pytest.mark.parametrize(
+    "spec, most",
+    [
+        ("A1:sc", 1),
+        ("B3:adjoint", 1),
+        ("E6:sc", 1),
+        ("A3xA3:sc", 1),
+        ("D4:lattice=[[1,0,0,0],[-1,1,0,0],[0,-1,1,1],[0,0,-1,1]]", 2),
+        ("A3:lattice=[[1,0,1],[0,1,0],[2,0,0]]", 2),
+    ],
+)
+def test_count_side_runs_one_elimination_per_datum(monkeypatch, spec, most):
+    # R needs no solve on a named isogeny, and one elimination gives both
+    # R^(-T) for the classes of X/Q and det R for |Z|
+    runs = _count_eliminations(monkeypatch)
+    d = parse_spec(spec).datum()
+    for _ in range(2):
+        center_order(d)
+        proper_pi0_witness(d)
+        for f in COUNT_POLYNOMIALS:
+            f(d)
+    assert 1 <= len(runs) <= most, runs
 
 
 def test_threads_sharing_a_datum_get_one_cached_object():
@@ -522,3 +560,53 @@ def test_threads_sharing_a_datum_get_one_cached_object():
     assert not any(t.is_alive() for t in threads)
     for column in zip(*seen):
         assert all(c is column[0] for c in column)
+
+
+# ---------------------------------------------------------------------------
+# Smith outputs pinned: one SHA-256 per datum of the compact JSON list
+# [[S, factors, kernel rows], ...] over every Levi set S in all_levi_subsets
+# order, recorded from an earlier implementation of `snf`. The corpus is every
+# simple type of rank <= 6 in both isogenies and the rank <= 5 `ok` bases of
+# bench/data/lattices.json.
+
+_LEVI_PINS = json.loads((ROOT / "tests" / "data" / "levi_pins.json").read_text())
+
+
+def _pin_corpus() -> list[str]:
+    types = (
+        [f"A{n}" for n in range(1, 7)]
+        + [f"B{n}" for n in range(2, 7)]
+        + [f"C{n}" for n in range(3, 7)]
+        + [f"D{n}" for n in range(4, 7)]
+        + ["E6", "F4", "G2"]
+    )
+    specs = [f"{t}:{iso}" for t in types for iso in ("adjoint", "sc")]
+    catalogue = json.loads((ROOT / "bench" / "data" / "lattices.json").read_text())
+    for e in catalogue["entries"]:
+        if e["status"] == "ok" and len(e["rows"]) <= 5:
+            rows = json.dumps(e["rows"], separators=(",", ":"))
+            specs.append(f"{e['ref'].split(':')[0]}:lattice={rows}")
+    return specs
+
+
+def test_levi_smith_outputs_are_pinned():
+    assert list(_LEVI_PINS) == _pin_corpus()
+    for spec, want in _LEVI_PINS.items():
+        d = parse_spec(spec).datum()
+        table = [
+            [list(s), list(c.pi0.factors), c.cochar_basis.to_lists()]
+            for s in all_levi_subsets(d.rank)
+            for c in [center_of_levi(d, s)]
+        ]
+        got = hashlib.sha256(json.dumps(table, separators=(",", ":")).encode()).hexdigest()
+        assert got == want, spec
+
+
+def test_roots_in_basis_is_the_solve_on_every_pinned_datum():
+    # R = A . L^(-1); the named isogenies take no solve, every basis must
+    # give what the solve of L^T X = A^T gives
+    for spec in _LEVI_PINS:
+        d = parse_spec(spec).datum()
+        a_t = cartan_matrix(d.cartan_type).transpose()
+        x, den, _ = d.char_lattice.transpose().solve(a_t)
+        assert den == 1 and rootdata._roots_in_basis(d) == x.transpose(), spec
