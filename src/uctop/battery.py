@@ -19,7 +19,6 @@ from .rootdata import (
     all_levi_subsets,
     cartan_matrix,
     center_of_levi,
-    killing_projection,
     levi_root_matrix,
     proper_pi0_witness,
     weyl_order,
@@ -132,8 +131,7 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     if n <= 5:  # every nested pair, else the covering pairs
         pairs = [(s, sp) for s in proper for sp in proper if set(s) <= set(sp)]
     else:
-        pairs = [(s, tuple(sorted(s + (a,)))) for s in proper for a in range(1, n + 1)
-                 if a not in s and len(s) + 1 < n]
+        pairs = [(s, sp) for s, sp, _ in homology._covering_pairs(n)]
     if n <= 4:
         checked = set(homology._covering_triangles(n))
         chains = [(s1, s2, s3) for s1, s2 in pairs for s3 in proper
@@ -145,8 +143,9 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         diagram, chain_error = _attempt(FunctorialityViolation, homology.build_center_diagram, d)
     if diagram is not None:
         _, chain_error = _attempt(FunctorialityViolation, homology._check_chains, diagram, chains)
-    # the diagram holds the covering arrows; without it each is computed here
-    arrow = (lambda s, sp: killing_projection(d, s, sp)) if diagram is None else diagram.arrow
+    # the diagram holds the covering arrows; without it, an empty one
+    # computes each pair on demand
+    arrow = (homology.CenterDiagram(d, {}) if diagram is None else diagram).arrow
     item("projection functoriality over chains", lambda: _outcome(chain_error), needs_form)
     item(
         "projections surject onto their targets",
@@ -199,7 +198,9 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     )
     item(
         "row order does not change the boundary betti table",
-        lambda: forward == homology._betti_from_complex(complex_, row_order=range(n, -1, -1)),
+        lambda: forward == homology._betti_from_complex(
+            homology.CechComplex(n, complex_.rows[::-1])
+        ),
         needs_complex,
     )
     item(

@@ -18,7 +18,6 @@ the row homology dimensions.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from ._value import Frozen, Value, setfield
@@ -32,9 +31,9 @@ from .matrices import (
 )
 from .rootdata import (
     RootDatum,
+    _killing_projection,
     all_levi_subsets,
     center_of_levi,
-    killing_projection,
     memoized,
     proper_pi0_witness,
 )
@@ -82,13 +81,12 @@ class CenterDiagram(Value):
     """Projection arrows between Levi-center cocharacter spaces, over S
     properly inside Pi ordered by inclusion.
 
-    `arrows` holds exactly the arrows the Cech complex reads: the identity
-    arrow (S, S) of every proper S (its size is the dimension at S) and the
-    covering arrow (S, S + {a}) whenever S + {a} is proper, each the
-    projection matrix in the two bases. `arrow(S, S')` returns the arrow of
-    any nested pair, computing each longer one through `killing_projection`
-    the first time it is asked for and keeping it apart from `arrows`.
-    Arrow composition is exact:
+    `arrows` holds exactly the covering arrows (S, S + {a}) with S + {a}
+    proper, each the projection matrix in the two bases: one per block of
+    the Cech differentials, which read nothing else here. `arrow(S, S')`
+    returns the arrow of any nested pair of normalized tuples, (S, S)
+    included, computing the others the first time it is asked for and
+    keeping them apart from `arrows`. Arrow composition is exact:
     arrow(S', S'') . arrow(S, S') == arrow(S, S'').
     """
 
@@ -107,42 +105,45 @@ class CenterDiagram(Value):
         if key in self.arrows:
             return self.arrows[key]
         if key not in self._long:
-            self._long[key] = killing_projection(self.datum, s, sp)
+            if not set(s) <= set(sp):
+                raise ValueError(f"Levi set {s} is not contained in {sp}")
+            self._long[key] = _killing_projection(self.datum, s, sp)
         return self._long[key]
 
 
 def build_center_diagram(d: RootDatum) -> CenterDiagram:
-    """Populate the identity and the covering arrows; verify functoriality on
-    covering triangles.
+    """Populate the covering arrows; verify functoriality on covering
+    triangles.
 
     Each triangle S -> S + {a} -> S + {a, b} with a < b is checked against
     the long arrow S -> S + {a, b}. The other middle set S + {b} needs no
     check here: d.d = 0 at w = 1, which `build_cech_complex` verifies, says
     exactly that both paths around the square agree.
     """
-    n = d.rank
-    arrows: dict[tuple[tuple[int, ...], tuple[int, ...]], RatMatrix] = {}
+    arrows = {(s, sp): _killing_projection(d, s, sp) for s, sp, _ in _covering_pairs(d.rank)}
+    diagram = CenterDiagram(d, arrows)
+    _check_chains(diagram, _covering_triangles(d.rank))
+    return diagram
+
+
+def _covering_pairs(n: int):
+    """(S, S + {a}, a) for every proper S and a outside it with S + {a}
+    proper, S by (size, lex), then a ascending."""
     for s in all_levi_subsets(n, proper=True):
-        arrows[(s, s)] = killing_projection(d, s, s)
         if len(s) + 1 < n:
             for a in range(1, n + 1):
                 if a not in s:
-                    sp = tuple(sorted(s + (a,)))
-                    arrows[(s, sp)] = killing_projection(d, s, sp)
-    diagram = CenterDiagram(d, arrows)
-    _check_chains(diagram, _covering_triangles(n))
-    return diagram
+                    yield s, tuple(sorted(s + (a,))), a
 
 
 def _covering_triangles(n: int, ascending: bool = True):
     """Chains S -> S + {a} -> S + {a, b} of proper subsets with a < b, or
     with a > b (the other middle set) when not `ascending`."""
-    full = set(range(1, n + 1))
-    for s in all_levi_subsets(n, proper=True):
-        if len(s) + 2 < n:
-            for a, b in itertools.permutations(sorted(full - set(s)), 2):
-                if (a < b) == ascending:
-                    yield s, tuple(sorted(s + (a,))), tuple(sorted(s + (a, b)))
+    for s, sa, a in _covering_pairs(n):
+        if len(sa) + 1 < n:
+            for b in range(a + 1, n + 1) if ascending else range(1, a):
+                if b not in s:
+                    yield s, sa, tuple(sorted(sa + (b,)))
 
 
 def _check_chains(diagram: CenterDiagram, chains) -> None:
@@ -190,55 +191,54 @@ def build_cech_complex(diagram: CenterDiagram) -> CechComplex:
     so every minor is computed once, in integers.
     """
     n = diagram.datum.rank
-    full = tuple(range(1, n + 1))
-    blocks = [
-        list(itertools.combinations(full, p + 1)) for p in range(n)
-    ]
-    index_of = [
-        {a: i for i, a in enumerate(level)} for level in blocks
-    ]
-    streams = {
-        key: exterior_powers(m) for key, m in diagram.arrows.items() if key[0] != key[1]
-    }
+    faces = _faces(diagram.arrows, n)
+    streams = {key: exterior_powers(m) for key, m in diagram.arrows.items()}
     rows: list[CechRow] = []
     for w in range(n + 1):
         minors = {key: next(stream) for key, stream in streams.items()}
-        width = [math.comb(p + 1, w) for p in range(n)]
-        dims = [width[p] * len(blocks[p]) for p in range(n)]
-        diffs: dict[int, RatMatrix] = {}
-        for p in range(1, n):
-            diffs[p] = _assemble_differential(
-                minors, blocks, index_of, full, w, p, dims
-            )
+        dims = [math.comb(p + 1, w) * math.comb(n, p + 1) for p in range(n)]
+        diffs = {p: _assemble_differential(minors, faces[p], w, p, dims) for p in range(1, n)}
         row = CechRow(w, dims, diffs)
         _check_square_zero(row, n)
         rows.append(row)
     return CechComplex(n, rows)
 
 
-def _assemble_differential(minors, blocks, index_of, full, w, p, dims):
-    full_set = set(full)
+def _faces(keys, n: int) -> dict[int, list[list]]:
+    """faces[p][t] lists (arrow key, source index, sign) of the blocks in the
+    rows of target t of the level-p differential, by source index.
+
+    The covering arrow (S, S + {a}) is the face from A = Pi - S to A - {a},
+    with sign (-1)^pos(a, A). Index sets are written 0-based here, and the
+    sets of each size are numbered in lex order.
+    """
+    index_of = [_subset_index(n, k) for k in range(n + 1)]
+    faces = {p: [[] for _ in index_of[p]] for p in range(1, n)}
+    sources = sorted((tuple(i for i in range(n) if i + 1 not in s), (s, sp)) for s, sp in keys)
+    for source, (s, sp) in sources:
+        pos = next(k for k, i in enumerate(source) if i + 1 in sp)  # a, the one element of A in S'
+        target = source[:pos] + source[pos + 1 :]
+        faces[len(target)][index_of[len(target)][target]].append(
+            ((s, sp), index_of[len(source)][source], -1 if pos % 2 else 1)
+        )
+    return faces
+
+
+def _assemble_differential(minors, faces, w, p, dims):
     # block coordinates: w-subsets of the target (p of them) and source
-    # (p + 1) cocharacter bases, lexicographic
+    # (p + 1) cocharacter bases, lexicographic; the rows of one target share
+    # the lcm of its arrows' denominators
     lo_index, hi_index = _subset_index(p, w), _subset_index(p + 1, w)
     lo, hi = len(lo_index), len(hi_index)
-    # faces[t] lists (arrow key, column offset, sign) of the blocks in the
-    # rows of target t; those rows share the lcm of the arrows' denominators
-    faces: list[list] = [[] for _ in blocks[p - 1]]
-    for ci, a in enumerate(blocks[p]):
-        s = tuple(sorted(full_set - set(a)))
-        for pos, elt in enumerate(a):
-            target = tuple(x for x in a if x != elt)
-            sp = tuple(sorted(full_set - set(target)))
-            faces[index_of[p - 1][target]].append(((s, sp), ci * hi, -1 if pos % 2 else 1))
     num: list[dict[int, int]] = []
     den: list[int] = []
     for incoming in faces:
         row_den = math.lcm(*(minors[key][0] for key, _, _ in incoming))
         block_rows: list[dict[int, int]] = [{} for _ in range(lo)]
-        for key, col0, sign in incoming:
+        for key, source, sign in incoming:
             arrow_den, arrow_minors = minors[key]
             f = sign * (row_den // arrow_den)
+            col0 = source * hi
             for (rsub, csub), v in arrow_minors.items():
                 block_rows[lo_index[rsub]][col0 + hi_index[csub]] = f * v
         num.extend(block_rows)
@@ -307,11 +307,11 @@ MOD_P_CERTIFIED = "mod-p certified"
 EXACT_RATIONAL = "exact rational"
 
 
-def _betti_from_complex(complex_: CechComplex, row_order=None) -> BettiTable:
-    return _certified_betti(complex_, row_order)[0]
+def _betti_from_complex(complex_: CechComplex) -> BettiTable:
+    return _certified_betti(complex_)[0]
 
 
-def _certified_betti(complex_: CechComplex, row_order=None) -> tuple[BettiTable, str]:
+def _certified_betti(complex_: CechComplex) -> tuple[BettiTable, str]:
     """Exact Betti table of the complex and the certificate that proves it.
 
     Ranks are first taken mod RANK_PRIME. The resulting table is exact when
@@ -332,24 +332,22 @@ def _certified_betti(complex_: CechComplex, row_order=None) -> tuple[BettiTable,
     table is recomputed with exact rational ranks. The label returned is
     MOD_P_CERTIFIED or EXACT_RATIONAL accordingly.
     """
-    n = complex_.n
-    rows = complex_.rows if row_order is None else [complex_.rows[w] for w in row_order]
-    table = _betti_table(rows, n, lambda m: rank_mod_p(m, RANK_PRIME))
-    if table == BettiTable.sphere(2 * n - 1) and _exact_b0(complex_) >= 1:
+    table = _betti_table(complex_, lambda m: rank_mod_p(m, RANK_PRIME))
+    if table == BettiTable.sphere(2 * complex_.n - 1) and _exact_b0(complex_) >= 1:
         return table, MOD_P_CERTIFIED
-    return _betti_table(rows, n, rank), EXACT_RATIONAL
+    return _betti_table(complex_, rank), EXACT_RATIONAL
 
 
-def _betti_table(rows: list[CechRow], n: int, rank_of) -> BettiTable:
-    betti = [0] * (2 * n)
-    for row in rows:
-        for p, h in _row_homology(row, n, rank_of).items():
+def _betti_table(complex_: CechComplex, rank_of) -> BettiTable:
+    betti = [0] * (2 * complex_.n)
+    for row in complex_.rows:
+        for p, h in _row_homology(row, complex_.n, rank_of).items():
             betti[row.w + p] += h
     return BettiTable(tuple(betti))
 
 
 def _exact_b0(complex_: CechComplex) -> int:
-    row = complex_.rows[0]
+    row = next(row for row in complex_.rows if row.w == 0)
     return row.dims[0] - (rank(row.diffs[1]) if 1 in row.diffs else 0)
 
 

@@ -257,6 +257,7 @@ class CenterData(Frozen):
 
 
 def _normalize_levi(d: RootDatum, levi: Iterable[int]) -> tuple[int, ...]:
+    """Sorted tuple of a Levi set inside 1..n; private forms take only this."""
     s = tuple(sorted(set(levi)))
     n = d.rank
     if any(i < 1 or i > n for i in s):
@@ -266,15 +267,18 @@ def _normalize_levi(d: RootDatum, levi: Iterable[int]) -> tuple[int, ...]:
 
 def levi_root_matrix(d: RootDatum, levi: Iterable[int]) -> IntMatrix:
     """Rows: the simple roots indexed by `levi` written in the char-lattice basis."""
+    return _levi_root_matrix(d, _normalize_levi(d, levi))
+
+
+def _levi_root_matrix(d: RootDatum, s: tuple[int, ...]) -> IntMatrix:
     r, n = _roots_in_basis(d).entries, d.rank
-    s = _normalize_levi(d, levi)
     rows = (r[(i - 1) * n : i * n] for i in s)
     return IntMatrix(len(s), n, tuple(itertools.chain.from_iterable(rows)))
 
 
 @memoized
 def _center_of_levi_cached(d: RootDatum, s: tuple[int, ...]) -> CenterData:
-    factors, kernel = snf(levi_root_matrix(d, s))
+    factors, kernel = snf(_levi_root_matrix(d, s))
     if kernel.cols != d.rank - len(s):
         raise ArithmeticError("simple roots must be linearly independent")
     return CenterData(pi0=factors, cochar_basis=kernel, dim=d.rank - len(s))
@@ -372,7 +376,7 @@ def _projector(d: RootDatum, sp: tuple[int, ...]) -> tuple[IntMatrix, int]:
     cocharacter coordinates to coordinates in B'. It is one integer solve,
     and every arrow into S' is this one matrix times an integer basis.
     """
-    bp = center_of_levi(d, sp).cochar_basis
+    bp = _center_of_levi_cached(d, sp).cochar_basis
     bp_t_g = bp.transpose().mul(_dual_gram(d))
     num, den, _ = bp_t_g.mul(bp).solve(bp_t_g)
     return num, den
@@ -392,6 +396,11 @@ def killing_projection(
     sp = _normalize_levi(d, levi_prime)
     if not set(s) <= set(sp):
         raise ValueError(f"Levi set {s} is not contained in {sp}")
+    return _killing_projection(d, s, sp)
+
+
+def _killing_projection(d: RootDatum, s: tuple[int, ...], sp: tuple[int, ...]) -> RatMatrix:
+    """`killing_projection` on normalized tuples with S inside S'."""
     num, den = _projector(d, sp)
     return num.mul(_center_of_levi_cached(d, s).cochar_basis).to_rational(den)
 

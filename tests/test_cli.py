@@ -461,16 +461,17 @@ def test_failed_battery_chains_leave_the_diagram_to_later_stages(
 
 @pytest.mark.parametrize("spec", ["A4:sc", "A5:adjoint"])
 def test_check_projects_each_nested_pair_once(capsys, monkeypatch, spec):
+    # every projection the diagram and the battery make takes this one path
     from uctop import homology
-    from uctop.rootdata import killing_projection
+    from uctop.rootdata import _killing_projection
 
     calls = []
 
     def counting(d, s, sp):
-        calls.append((tuple(s), tuple(sp)))
-        return killing_projection(d, s, sp)
+        calls.append((s, sp))
+        return _killing_projection(d, s, sp)
 
-    monkeypatch.setattr(homology, "killing_projection", counting)
+    monkeypatch.setattr(homology, "_killing_projection", counting)
     code, out, _ = run_cli(capsys, "check", spec)
     assert code == 0 and "0 failed" in out
     assert calls and len(calls) == len(set(calls))

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from uctop import homology
+from uctop.cli import parse_spec
 from uctop.errors import FunctorialityViolation, NontrivialPi0, UctopError
 from uctop.homology import (
     EXACT_RATIONAL,
     MOD_P_CERTIFIED,
     BettiTable,
+    CechComplex,
     _betti_from_complex,
     _certified_betti,
     _check_square_zero,
@@ -27,6 +30,7 @@ from uctop.rootdata import (
     all_levi_subsets,
     build_datum,
     center_of_levi,
+    _killing_projection,
     invariant_form,
     killing_projection,
 )
@@ -77,25 +81,24 @@ def test_betti_table_normalization():
 
 
 def test_diagram_rank_one_structure():
+    # A1 has one proper Levi set, so no covering arrow
     d = build_datum(ct(("A", 1)), "adjoint")
     diag = build_center_diagram(d)
-    assert list(diag.arrows) == [((), ())]
-    assert diag.arrow((), ()).rows == 1
+    assert diag.arrows == {}
     assert diag.arrow((), ()) == RatMatrix.identity(1)
 
 
 def test_diagram_rank_two_structure():
     d = build_datum(ct(("A", 2)), "adjoint")
     diag = build_center_diagram(d)
-    assert {s: diag.arrow(s, s).rows for s, sp in diag.arrows if s == sp} == {
-        (): 2,
-        (1,): 1,
-        (2,): 1,
-    }
-    nonidentity = [k for k in diag.arrows if k[0] != k[1]]
-    assert sorted(nonidentity) == [((), (1,)), ((), (2,))]
-    for s, sp in nonidentity:
+    assert list(diag.arrows) == [((), (1,)), ((), (2,))]
+    for s, sp in diag.arrows:
         assert rank(diag.arrow(s, sp)) == 1
+    assert {s: diag.arrow(s, s) for s in all_levi_subsets(2, proper=True)} == {
+        (): RatMatrix.identity(2),
+        (1,): RatMatrix.identity(1),
+        (2,): RatMatrix.identity(1),
+    }
 
 
 def test_diagram_functoriality_exact():
@@ -109,7 +112,7 @@ def test_diagram_functoriality_exact():
                 assert m23.mul(m12) == diag.arrow(s1, s3)
 
 
-def test_diagram_holds_identity_and_covering_arrows_only():
+def test_diagram_holds_covering_arrows_only():
     for t, iso in (
         (ct(("A", 3)), "adjoint"),
         (ct(("B", 3)), "sc"),
@@ -117,15 +120,43 @@ def test_diagram_holds_identity_and_covering_arrows_only():
     ):
         d = build_datum(t, iso)
         diag = build_center_diagram(d)
-        proper = all_levi_subsets(t.rank, proper=True)
+        n = t.rank
+        proper = all_levi_subsets(n, proper=True)
         nested = [(s, sp) for s in proper for sp in proper if set(s) <= set(sp)]
-        assert set(diag.arrows) == {
-            (s, sp) for s, sp in nested if len(sp) - len(s) <= 1
-        }, str(t)
+        assert set(diag.arrows) == {(s, sp) for s, sp in nested if len(sp) == len(s) + 1}, str(t)
         for s, sp in nested:
             assert diag.arrow(s, sp) == killing_projection(d, s, sp), (str(t), s, sp)
+            if s == sp:
+                assert diag.arrow(s, s) == RatMatrix.identity(n - len(s)), (str(t), s)
         with pytest.raises(ValueError):
             diag.arrow((1,), (2,))
+
+
+@pytest.mark.parametrize("spec, count", [("D6:adjoint", 411), ("A4:sc", 46)])
+def test_boundary_homology_projects_covering_and_long_triangle_pairs_once(monkeypatch, spec, count):
+    # one projection per covering pair (S, S + {a}), one per long arrow
+    # (S, S + {a, b}) with a < b that the triangle check compares, and no
+    # identity (S, S)
+    calls = []
+
+    def counting(d, s, sp):
+        calls.append((s, sp))
+        return _killing_projection(d, s, sp)
+
+    monkeypatch.setattr(homology, "_killing_projection", counting)
+    d = parse_spec(spec).datum()
+    n = d.rank
+    assert boundary_homology(d) == BettiTable.sphere(2 * n - 1)
+    full = set(range(1, n + 1))
+    want = [
+        (s, tuple(sorted(s + extra)))
+        for s in all_levi_subsets(n, proper=True)
+        for k in (1, 2)
+        if len(s) + k < n
+        for extra in itertools.combinations(sorted(full - set(s)), k)
+    ]
+    assert sorted(calls) == sorted(want)
+    assert len(calls) == count
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +323,13 @@ def test_row_order_independence():
         cx = build_cech_complex(build_center_diagram(d))
         n = cx.n
         forward = _betti_from_complex(cx)
-        backward = _betti_from_complex(cx, row_order=range(n, -1, -1))
+        backward = _betti_from_complex(CechComplex(n, cx.rows[::-1]))
         middle_out = _betti_from_complex(
-            cx, row_order=sorted(range(n + 1), key=lambda w: abs(w - n // 2))
+            CechComplex(n, sorted(cx.rows, key=lambda row: abs(row.w - n // 2)))
         )
         assert forward == backward == middle_out
+        # the exact b_0 is read from the w = 0 row wherever it stands
+        assert _certified_betti(CechComplex(n, cx.rows[::-1])) == (forward, MOD_P_CERTIFIED)
 
 
 def test_total_betti_bounded_by_chain_dimension():

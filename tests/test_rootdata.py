@@ -513,6 +513,26 @@ def test_center_of_levi_is_cached_on_its_datum(monkeypatch):
         assert f(twin) == f(d) and f(twin) is not f(d), f.__name__
 
 
+def test_each_levi_set_is_normalized_once(monkeypatch):
+    # the public entries normalize a Levi set; the private forms behind them
+    # (the cached center, the projector, the diagram's arrows) take it as is
+    from uctop.homology import boundary_homology
+
+    seen = []
+    original = rootdata._normalize_levi
+
+    def counting(d, levi):
+        seen.append(levi)
+        return original(d, levi)
+
+    monkeypatch.setattr(rootdata, "_normalize_levi", counting)
+    center_of_levi(build_datum(ct(("B", 3)), "sc"), (3, 1))
+    assert seen == [(3, 1)]
+    seen.clear()
+    boundary_homology(parse_spec("D6:adjoint").datum())
+    assert 0 < len(seen) <= 2**6 - 1
+
+
 @pytest.mark.parametrize(
     "spec, most",
     [
