@@ -22,13 +22,7 @@ import math
 
 from ._value import Frozen, Value, setfield
 from .errors import FunctorialityViolation, NontrivialPi0, UctopError, format_levi
-from .matrices import (
-    RatMatrix,
-    _subset_index,
-    exterior_powers,
-    rank,
-    rank_mod_p,
-)
+from .matrices import RatMatrix, _pivot_rows, _subset_index, exterior_powers
 from .rootdata import (
     RootDatum,
     _killing_projection,
@@ -256,9 +250,20 @@ def _check_square_zero(row: CechRow, n: int) -> None:
             )
 
 
-def _row_homology(row: CechRow, n: int, rank_of) -> dict[int, int]:
-    """Dimension of H_p for each Cech level p of one row, with ranks from `rank_of`."""
-    ranks = {p: rank_of(m) for p, m in row.diffs.items()}
+def _row_homology(row: CechRow, n: int) -> dict[int, int]:
+    """Dimension of H_p for each Cech level p of one row, from exact ranks.
+
+    Every rank is taken over Q, and `diffs[p]` is ranked only on its rows
+    outside the pivot columns P of `diffs[p - 1]` (clearing: Chen and Kerber,
+    "Persistent homology computation with a twist", EuroCG 2011). That is its
+    full rank, because `build_cech_complex` has checked
+    diffs[p - 1] . diffs[p] = 0 exactly on this row before any rank is taken.
+    A pivot row r of diffs[p - 1] is a rational combination of its rows whose
+    leading column is j, so r . diffs[p] = 0 writes row j of diffs[p] as a
+    combination of rows of larger index. By descending induction on j, the
+    rows outside P span the row space of diffs[p].
+    """
+    ranks = _cleared_ranks(row)
     out: dict[int, int] = {}
     for p in range(n):
         h = row.dims[p] - ranks.get(p, 0) - ranks.get(p + 1, 0)
@@ -267,6 +272,16 @@ def _row_homology(row: CechRow, n: int, rank_of) -> dict[int, int]:
         if h:
             out[p] = h
     return out
+
+
+def _cleared_ranks(row: CechRow) -> dict[int, int]:
+    """Rank over Q of each differential of one row, cleared as `_row_homology` explains."""
+    ranks: dict[int, int] = {}
+    pivots: dict[int, dict[int, int]] = {}
+    for p in sorted(row.diffs):
+        pivots = _pivot_rows([r for i, r in enumerate(row.diffs[p].num) if i not in pivots])
+        ranks[p] = len(pivots)
+    return ranks
 
 
 @memoized
@@ -301,54 +316,13 @@ def boundary_homology(d: RootDatum) -> BettiTable:
     return _betti_from_complex(complex_)
 
 
-RANK_PRIME = 2**61 - 1
-
-MOD_P_CERTIFIED = "mod-p certified"
-EXACT_RATIONAL = "exact rational"
-
-
 def _betti_from_complex(complex_: CechComplex) -> BettiTable:
-    return _certified_betti(complex_)[0]
-
-
-def _certified_betti(complex_: CechComplex) -> tuple[BettiTable, str]:
-    """Exact Betti table of the complex and the certificate that proves it.
-
-    Ranks are first taken mod RANK_PRIME. The resulting table is exact when
-    it is the sphere S^(2n-1), by three facts:
-
-    (i) the F_p rank of an integer matrix is at most its rank over Q (and
-        clearing denominators row by row changes no rank), so every mod-p
-        homology dimension, hence every mod-p Betti number, bounds the exact
-        one from above;
-    (ii) the Euler characteristic is the alternating sum of the term
-        dimensions whatever the ranks, so both tables share it, and the
-        sphere's is 0;
-    (iii) b_0 >= 1 exactly: total degree 0 is only the w = 0, p = 0 term,
-        whose homology is computed here with an exact rank.
-
-    By (i) every exact b_m outside {0, 2n - 1} is 0 and b_0, b_(2n-1) <= 1;
-    by (iii) b_0 = 1; by (ii) b_(2n-1) = b_0 = 1. In every other case the
-    table is recomputed with exact rational ranks. The label returned is
-    MOD_P_CERTIFIED or EXACT_RATIONAL accordingly.
-    """
-    table = _betti_table(complex_, lambda m: rank_mod_p(m, RANK_PRIME))
-    if table == BettiTable.sphere(2 * complex_.n - 1) and _exact_b0(complex_) >= 1:
-        return table, MOD_P_CERTIFIED
-    return _betti_table(complex_, rank), EXACT_RATIONAL
-
-
-def _betti_table(complex_: CechComplex, rank_of) -> BettiTable:
+    """Exact Betti table of the complex: row homology summed over total degree w + p."""
     betti = [0] * (2 * complex_.n)
     for row in complex_.rows:
-        for p, h in _row_homology(row, complex_.n, rank_of).items():
+        for p, h in _row_homology(row, complex_.n).items():
             betti[row.w + p] += h
     return BettiTable(tuple(betti))
-
-
-def _exact_b0(complex_: CechComplex) -> int:
-    row = next(row for row in complex_.rows if row.w == 0)
-    return row.dims[0] - (rank(row.diffs[1]) if 1 in row.diffs else 0)
 
 
 def total_euler(complex_: CechComplex) -> int:

@@ -24,7 +24,6 @@ __all__ = [
     "InvariantFactors",
     "snf",
     "rank",
-    "rank_mod_p",
     "compound",
     "exterior_powers",
 ]
@@ -392,22 +391,13 @@ def rank(m: RatMatrix | IntMatrix) -> int:
     (the matrix with its denominators cleared row by row, same rank)."""
     if isinstance(m, IntMatrix):
         m = m.to_rational()
-    return _sparse_rank(m.num, None)
+    return len(_pivot_rows(m.num))
 
 
-def rank_mod_p(m: RatMatrix, p: int) -> int:
-    """Rank over F_p of m with its denominators cleared row by row (p prime).
-
-    Never exceeds rank(m): a minor that is nonzero mod p is a nonzero integer,
-    and clearing a row's denominator scales it by a nonzero rational. For a
-    fixed integer matrix the two ranks differ only when p divides every
-    maximal nonzero minor.
-    """
-    return _sparse_rank(m.num, p)
-
-
-def _sparse_rank(rows: Sequence[dict[int, int]], p: int | None) -> int:
-    """Rank of integer rows (column -> value) over Q when p is None, else F_p.
+def _pivot_rows(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Echelon form over Q of integer rows (column -> value): its rows keyed
+    by leading column, each a rational combination of the given rows that is
+    zero left of its key. Their count is the rank.
 
     Each row is reduced against the pivot rows found so far, always at its
     leftmost column, and becomes a new pivot row if anything is left. Rows
@@ -415,39 +405,26 @@ def _sparse_rank(rows: Sequence[dict[int, int]], p: int | None) -> int:
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
-        cur = dict(row) if p is None else {j: v % p for j, v in row.items() if v % p}
+        cur = dict(row)
         while cur:
             c = min(cur)
             piv = pivots.get(c)
             if piv is None:
-                if p is not None:
-                    inv = pow(cur[c], -1, p)
-                    cur = {j: v * inv % p for j, v in cur.items()}
                 pivots[c] = cur
                 break
-            e = cur[c]
-            if p is None:
-                # pc * cur - e * piv clears column c; dividing out the
-                # content keeps the integers small
-                pc = piv[c]
-                new = {j: pc * v for j, v in cur.items()}
-                for j, v in piv.items():
-                    x = new.get(j, 0) - e * v
-                    if x:
-                        new[j] = x
-                    else:
-                        new.pop(j, None)
-                g = math.gcd(*new.values()) if new else 1
-                cur = {j: v // g for j, v in new.items()} if g > 1 else new
-            else:
-                # pivot rows are monic, so this clears column c
-                for j, v in piv.items():
-                    x = (cur.get(j, 0) - e * v) % p
-                    if x:
-                        cur[j] = x
-                    else:
-                        cur.pop(j, None)
-    return len(pivots)
+            # pc * cur - e * piv clears column c; dividing out the content
+            # keeps the integers small
+            pc, e = piv[c], cur[c]
+            new = {j: pc * v for j, v in cur.items()}
+            for j, v in piv.items():
+                x = new.get(j, 0) - e * v
+                if x:
+                    new[j] = x
+                else:
+                    new.pop(j, None)
+            g = math.gcd(*new.values()) if new else 1
+            cur = {j: v // g for j, v in new.items()} if g > 1 else new
+    return pivots
 
 
 def compound(m: RatMatrix, k: int) -> RatMatrix:

@@ -12,19 +12,17 @@ from uctop import homology
 from uctop.cli import parse_spec
 from uctop.errors import FunctorialityViolation, NontrivialPi0, UctopError
 from uctop.homology import (
-    EXACT_RATIONAL,
-    MOD_P_CERTIFIED,
     BettiTable,
     CechComplex,
     _betti_from_complex,
-    _certified_betti,
     _check_square_zero,
+    _cleared_ranks,
     boundary_homology,
     build_cech_complex,
     build_center_diagram,
     total_euler,
 )
-from uctop.matrices import IntMatrix, RatMatrix, rank, rank_mod_p
+from uctop.matrices import IntMatrix, RatMatrix, rank
 from uctop.rootdata import (
     CartanType,
     all_levi_subsets,
@@ -237,41 +235,18 @@ def test_boundary_homology_spheres():
         assert boundary_homology(d) == BettiTable.sphere(2 * n - 1), (str(t), iso)
 
 
-def _mod_p_table(cx, p):
-    betti = [0] * (2 * cx.n)
-    for row in cx.rows:
-        ranks = {q: rank_mod_p(m, p) for q, m in row.diffs.items()}
-        for q, dim in enumerate(row.dims):
-            betti[row.w + q] += dim - ranks.get(q, 0) - ranks.get(q + 1, 0)
-    return BettiTable(tuple(betti))
-
-
-def test_sphere_sweep_is_certified_mod_p():
-    for t, iso in SPHERE_SWEEP:
+def test_cleared_ranks_equal_full_ranks():
+    # clearing ranks diffs[p] on the rows outside the pivot columns of
+    # diffs[p - 1] only; each such rank must be the full rank of diffs[p]
+    for t, iso in SPHERE_SWEEP + [(ct(("E", 6)), "adjoint"), (ct(("E", 7)), "adjoint")]:
         cx = build_cech_complex(build_center_diagram(build_datum(t, iso)))
-        table, how = _certified_betti(cx)
-        assert table == BettiTable.sphere(2 * t.rank - 1), (str(t), iso)
-        assert how == MOD_P_CERTIFIED, (str(t), iso)
-
-
-@pytest.mark.parametrize("prime", [2, 3])
-def test_exact_fallback_when_mod_p_table_is_not_a_sphere(monkeypatch, prime):
-    monkeypatch.setattr(homology, "RANK_PRIME", prime)
-    fallbacks = []
-    for t, iso in SPHERE_SWEEP:
-        d = build_datum(t, iso)
-        sphere = BettiTable.sphere(2 * t.rank - 1)
-        cx = build_cech_complex(build_center_diagram(d))
-        table, how = _certified_betti(cx)
-        assert table == sphere, (str(t), iso)
-        assert (how == EXACT_RATIONAL) == (_mod_p_table(cx, prime) != sphere), (str(t), iso)
-        if how == EXACT_RATIONAL:
-            fallbacks.append(f"{t}:{iso}")
-        assert boundary_homology(d) == sphere, (str(t), iso)
-    assert fallbacks, f"no table mod {prime} differed from the sphere"
-    with pytest.raises(NontrivialPi0) as err:
-        boundary_homology(build_datum(ct(("A", 3)), "sc"))
-    assert err.value.levi == (1, 3)
+        for row in cx.rows:
+            cleared = _cleared_ranks(row)
+            assert sorted(cleared) == sorted(row.diffs), (str(t), iso, row.w)
+            for p, m in row.diffs.items():
+                assert cleared[p] == rank(m), (str(t), iso, row.w, p)
+                if t.rank <= 4:
+                    assert cleared[p] == naive_rank(m.to_lists()), (str(t), iso, row.w, p)
 
 
 def test_boundary_homology_examples():
@@ -328,8 +303,6 @@ def test_row_order_independence():
             CechComplex(n, sorted(cx.rows, key=lambda row: abs(row.w - n // 2)))
         )
         assert forward == backward == middle_out
-        # the exact b_0 is read from the w = 0 row wherever it stands
-        assert _certified_betti(CechComplex(n, cx.rows[::-1])) == (forward, MOD_P_CERTIFIED)
 
 
 def test_total_betti_bounded_by_chain_dimension():

@@ -11,14 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uctop.homology import RANK_PRIME
 from uctop.matrices import (
     IntMatrix,
     InvariantFactors,
     RatMatrix,
     compound,
     rank,
-    rank_mod_p,
     snf,
 )
 from uctop.rootdata import CartanType, cartan_matrix
@@ -222,9 +220,8 @@ def _random_sparse_rows(rng, nr, nc, density):
     ]
 
 
-def test_rank_mod_p_against_naive_elimination():
+def test_rank_against_naive_elimination():
     rng = random.Random(20261017)
-    drops = 0
     for _ in range(300):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         rows = _random_sparse_rows(rng, nr, nc, rng.choice((0.2, 0.4, 0.7)))
@@ -234,13 +231,6 @@ def test_rank_mod_p_against_naive_elimination():
         # denominators are 1..4, so 12 clears them all
         ints = [[int(12 * e) for e in row] for row in rows]
         assert rank(IntMatrix.from_rows(ints, cols=nc)) == want, rows
-        assert rank_mod_p(m, RANK_PRIME) == want, rows
-        for p in (2, 3, 5):
-            got = rank_mod_p(m, p)
-            assert got <= want, (rows, p)
-            drops += got < want
-    assert RANK_PRIME == 2**61 - 1
-    assert drops, "no small prime ever lost rank; the bound went unexercised"
 
 
 # ---------------------------------------------------------------------------
