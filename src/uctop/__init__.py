@@ -16,14 +16,7 @@ from .errors import (
     NontrivialPi0,
     UctopError,
 )
-from .matrices import (
-    IntMatrix,
-    InvariantFactors,
-    RatMatrix,
-    compound,
-    rank,
-    snf,
-)
+from .matrices import IntMatrix, InvariantFactors, snf
 from .rootdata import (
     CartanType,
     CenterData,
@@ -42,8 +35,9 @@ from .rootdata import (
 
 __version__ = "0.1.0"
 
-# The homology, the assembly and the count polynomials load on first use, so
-# that a command which never reads them does not compile them (PEP 562).
+# The homology, the assembly, the count polynomials and the sparse rational
+# matrices load on first use, so that a command which never reads them does
+# not compile them (PEP 562).
 _LAZY = {
     "assembly": ("AssemblyReport", "intersection_number", "universal_centralizer_homology"),
     "counting": (
@@ -63,6 +57,7 @@ _LAZY = {
         "build_center_diagram",
         "total_euler",
     ),
+    "rational": ("RatMatrix", "compound", "rank"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import assembly, homology, oracles, rootdata
 from .counting import e_polynomial, point_count_poly, poincare_from_purity
 from .errors import FunctorialityViolation, NontrivialPi0, UctopError, format_levi
-from .matrices import rank
+from .rational import rank
 from .rootdata import (
     RootDatum,
     all_levi_subsets,

@@ -14,6 +14,7 @@ nontrivial component group).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ._value import Frozen, setfield
@@ -305,11 +306,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(names=COMMANDS) -> _Parser:
+    """The parser with a subcommand for each of `names`; each subcommand's
+    parser is the same whichever others are built beside it."""
     parser = _Parser(prog="uctop", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_, help_line, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
+    for name in names:
+        p = sub.add_parser(name, help=COMMANDS[name][1])
         p.add_argument("spec", help="group spec, e.g. A2:adjoint or A1xA2:sc")
         p.add_argument(
             "--format",
@@ -372,7 +375,11 @@ def _parse_max_rank_arg(text: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a leading command name needs only its own subparser; anything else
+    # (no arguments, --help, an unknown command, an option first) gets the
+    # full table, so every usage and help message reads the same
+    parser = _build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -415,4 +422,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()  # a closed pipe shows up here, not at exit
+    except BrokenPipeError:
+        # the reader has gone, as under `| head`: end quietly, with the status
+        # of a writer killed by SIGPIPE; stdout goes to the null device so
+        # that the interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

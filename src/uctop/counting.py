@@ -17,8 +17,6 @@ with it; a `QPolynomial` is immutable, so every caller can share it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._value import Frozen, setfield
 from .errors import NegativeCoefficient, NonPolynomialResult
 from .rootdata import RootDatum, memoized, quotient_supports
@@ -54,6 +52,8 @@ class QPolynomial(Frozen):
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
+    # `x` is an int or a fractions.Fraction; annotations are not evaluated,
+    # so the count side never imports `fractions`
     def evaluate(self, x: int | Fraction):
         acc = 0
         for c in reversed(self.coeffs):

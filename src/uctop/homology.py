@@ -22,7 +22,7 @@ import math
 
 from ._value import Frozen, Value, setfield
 from .errors import FunctorialityViolation, NontrivialPi0, UctopError, format_levi
-from .matrices import RatMatrix, _pivot_rows, _subset_index, exterior_powers
+from .rational import RatMatrix, _pivot_rows, _subset_index, exterior_powers
 from .rootdata import (
     RootDatum,
     _killing_projection,

@@ -24,11 +24,13 @@ import functools
 import itertools
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 
 from ._value import Frozen, setfield
 from .errors import UctopError
-from .matrices import IntMatrix, InvariantFactors, RatMatrix, snf
+from .matrices import IntMatrix, InvariantFactors, snf
+
+# `RatMatrix` (uctop.rational) appears here in annotations only: the module is
+# imported where an arrow is built, so the count side never loads it
 
 __all__ = [
     "CartanType",
@@ -335,23 +337,25 @@ def _symmetrized_cartan(t: CartanType) -> IntMatrix:
 
 def _block_symmetrizer(a: list[list[int]], off: int, rk: int) -> list[int]:
     """Minimal positive integers d with d_i a_ij = d_j a_ji on one factor block."""
-    ds: list[Fraction | None] = [None] * rk
-    ds[0] = Fraction(1)
+    ds = [0] * rk  # 0: not reached yet
+    ds[0] = 1
     queue = [0]
     while queue:
         i = queue.pop()
         for j in range(rk):
-            if j != i and a[off + i][off + j] and ds[j] is None:
-                # d_j = d_i * a_ij / a_ji along each Dynkin edge
-                ds[j] = ds[i] * a[off + i][off + j] / a[off + j][off + i]
+            p = a[off + i][off + j]
+            if j != i and p and not ds[j]:
+                # d_j = d_i * a_ij / a_ji along each Dynkin edge; the values
+                # found so far are scaled first, so that it is an integer
+                q = a[off + j][off + i]
+                scale = abs(q) // math.gcd(ds[i] * p, q)
+                ds = [v * scale for v in ds]
+                ds[j] = ds[i] * p // q
                 queue.append(j)
-    vals = [v for v in ds]
-    if any(v is None for v in vals):
+    if not all(ds):
         raise ArithmeticError("Dynkin diagram of a simple factor must be connected")
-    den = math.lcm(*(v.denominator for v in vals))
-    nums = [int(v * den) for v in vals]
-    g = math.gcd(*nums)
-    return [v // g for v in nums]
+    g = math.gcd(*ds)
+    return [v // g for v in ds]
 
 
 @memoized
@@ -401,8 +405,10 @@ def killing_projection(
 
 def _killing_projection(d: RootDatum, s: tuple[int, ...], sp: tuple[int, ...]) -> RatMatrix:
     """`killing_projection` on normalized tuples with S inside S'."""
+    from .rational import RatMatrix  # loaded only where arrows are built
+
     num, den = _projector(d, sp)
-    return num.mul(_center_of_levi_cached(d, s).cochar_basis).to_rational(den)
+    return RatMatrix.from_int(num.mul(_center_of_levi_cached(d, s).cochar_basis), den)
 
 
 def all_levi_subsets(n: int, proper: bool = False) -> list[tuple[int, ...]]:
@@ -434,8 +440,12 @@ class QuotientSupports(Frozen):
 @memoized
 def _inverse_roots(d: RootDatum) -> tuple[IntMatrix, int, int]:
     """(N, den, det R) with R^(-T) = N / den, for R = `_roots_in_basis`: one
-    fraction-free solve of R^T X = I, whose elimination also ends with det R."""
-    return _roots_in_basis(d).transpose().solve(IntMatrix.identity(d.rank))
+    fraction-free solve of R^T X = I, whose elimination also ends with det R.
+    R = I (the adjoint form's own basis) needs no solve."""
+    r, identity = _roots_in_basis(d), IntMatrix.identity(d.rank)
+    if r == identity:
+        return identity, 1, 1
+    return r.transpose().solve(identity)
 
 
 def _class_supports(d: RootDatum) -> list[int]:

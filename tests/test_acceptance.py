@@ -21,7 +21,8 @@ from uctop.cli import main
 from uctop.counting import e_polynomial, poincare_from_purity, point_count_poly
 from uctop.errors import NontrivialPi0
 from uctop.homology import BettiTable, build_cech_complex, build_center_diagram
-from uctop.matrices import IntMatrix, RatMatrix, compound, snf
+from uctop.matrices import IntMatrix, snf
+from uctop.rational import RatMatrix, compound
 from uctop.rootdata import (
     all_levi_subsets,
     center_order,

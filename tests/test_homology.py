@@ -22,7 +22,8 @@ from uctop.homology import (
     build_center_diagram,
     total_euler,
 )
-from uctop.matrices import IntMatrix, RatMatrix, rank
+from uctop.matrices import IntMatrix
+from uctop.rational import RatMatrix, rank
 from uctop.rootdata import (
     CartanType,
     all_levi_subsets,

@@ -18,7 +18,8 @@ from uctop import matrices, rootdata
 from uctop.cli import parse_spec
 from uctop.counting import e_polynomial, point_count_poly, poincare_from_purity
 from uctop.errors import UctopError
-from uctop.matrices import IntMatrix, RatMatrix, rank
+from uctop.matrices import IntMatrix
+from uctop.rational import RatMatrix, rank
 from uctop.rootdata import (
     CartanType,
     all_levi_subsets,
@@ -537,7 +538,7 @@ def test_each_levi_set_is_normalized_once(monkeypatch):
     "spec, most",
     [
         ("A1:sc", 1),
-        ("B3:adjoint", 1),
+        ("B3:adjoint", 0),
         ("E6:sc", 1),
         ("A3xA3:sc", 1),
         ("D4:lattice=[[1,0,0,0],[-1,1,0,0],[0,-1,1,1],[0,0,-1,1]]", 2),
@@ -546,7 +547,8 @@ def test_each_levi_set_is_normalized_once(monkeypatch):
 )
 def test_count_side_runs_one_elimination_per_datum(monkeypatch, spec, most):
     # R needs no solve on a named isogeny, and one elimination gives both
-    # R^(-T) for the classes of X/Q and det R for |Z|
+    # R^(-T) for the classes of X/Q and det R for |Z|; on the adjoint basis
+    # R = I, so neither needs one
     runs = _count_eliminations(monkeypatch)
     d = parse_spec(spec).datum()
     for _ in range(2):
@@ -554,7 +556,8 @@ def test_count_side_runs_one_elimination_per_datum(monkeypatch, spec, most):
         proper_pi0_witness(d)
         for f in COUNT_POLYNOMIALS:
             f(d)
-    assert 1 <= len(runs) <= most, runs
+    # a datum allowed one elimination runs one, so the patch is seen working
+    assert min(most, 1) <= len(runs) <= most, runs
 
 
 def test_threads_sharing_a_datum_get_one_cached_object():

@@ -19,7 +19,8 @@ from uctop.homology import (
     build_cech_complex,
     build_center_diagram,
 )
-from uctop.matrices import IntMatrix, InvariantFactors, RatMatrix
+from uctop.matrices import IntMatrix, InvariantFactors
+from uctop.rational import RatMatrix
 from uctop.rootdata import (
     CartanType,
     CenterData,
