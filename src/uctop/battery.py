@@ -2,10 +2,11 @@
 
 Each item compares one result of the pipeline with a second route to it: a
 brute-force oracle, another formula, or a guard's own test. The pipeline runs
-in stages (the invariant form, the center diagram with the battery's own
-chains, the Cech complex, the assembly), and each stage yields its value or
-the guard error it raised. That outcome sets the skip reason of every item
-that reads the stage, so a failed guard is one FAIL line, never an exception.
+in stages (the Levi centers, the invariant form, the center diagram with the
+battery's own chains, the Cech complex, its Betti table, the assembly), and
+each stage yields its value or the guard error it raised. That outcome sets
+the skip reason of every item that reads the stage, so a failed guard is one
+FAIL line, never an exception.
 """
 
 from __future__ import annotations
@@ -55,16 +56,23 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         ok, detail = result if isinstance(result, tuple) else (result, "")
         items.append((name, "pass" if ok else "fail", detail))
 
+    # stage 0, the Levi centers: center_of_levi's guard on the kernel rank
+    # is the dimension item; every item that reads a center needs them all
     subsets = all_levi_subsets(n)
-    centers = {s: center_of_levi(d, s) for s in subsets}
+    centers, center_error = _attempt(
+        UctopError, lambda: {s: center_of_levi(d, s) for s in subsets}
+    )
+    needs_centers = "needs the Levi centers" if centers is None else ""
     # |Z| from the Smith form at S = Pi, not from `center_order`'s determinant,
     # so the center-order items below compare two routes; the assembly items
     # check the determinant route against the purity prediction
-    z = centers[tuple(range(1, n + 1))].pi0.order()
+    z = None if centers is None else centers[tuple(range(1, n + 1))].pi0.order()
 
     item(
         "levi center dimension equals n - |S| for all S",
-        lambda: all(c.dim == n - len(s) for s, c in centers.items()),
+        lambda: _outcome(center_error)
+        if centers is None
+        else all(c.dim == n - len(s) for s, c in centers.items()),
     )
     item(
         "invariant factors form divisibility chains",
@@ -72,6 +80,7 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
             all(b % a == 0 for a, b in zip(c.pi0.factors, c.pi0.factors[1:]))
             for c in centers.values()
         ),
+        needs_centers,
     )
     item(
         "cocharacter bases annihilate their Levi roots",
@@ -79,6 +88,7 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
             levi_root_matrix(d, s).mul(c.cochar_basis).is_zero()
             for s, c in centers.items()
         ),
+        needs_centers,
     )
     item(
         "rank-nullity for every Levi root matrix",
@@ -86,16 +96,19 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
             rank(levi_root_matrix(d, s)) + c.cochar_basis.cols == n
             for s, c in centers.items()
         ),
+        needs_centers,
     )
     if d.is_adjoint():
         item(
             "adjoint form: all component groups trivial",
             lambda: all(c.pi0.is_trivial() for c in centers.values()),
+            needs_centers,
         )
     if d.is_simply_connected():
         item(
             "simply connected form: center order equals Cartan determinant",
             lambda: z == cartan_matrix(d.cartan_type).det(),
+            needs_centers,
         )
     # each Levi matrix is a set of rows of the one at S = Pi, so one table of
     # the latter's minors on at most 4 rows serves every S with |S| <= 4
@@ -107,6 +120,7 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
             for s, c in centers.items()
             if len(s) <= 4
         ),
+        needs_centers,
     )
     item(
         "weyl order matches reflection enumeration",
@@ -116,11 +130,20 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     )
 
     # stage 1, the invariant form: invariant_form's guard, item by item, on
-    # the form it guards; every projection reads the form
-    gram = rootdata._symmetrized_cartan(d.cartan_type)
-    symmetric, definite = gram.is_symmetric(), gram.is_positive_definite()
-    item("invariant form is symmetric", lambda: symmetric)
-    item("invariant form is positive definite", lambda: definite)
+    # the form it guards (a symmetrizer that cannot be built fails the
+    # first); every projection reads the form
+    gram, form_error = _attempt(UctopError, rootdata._symmetrized_cartan, d.cartan_type)
+    symmetric = gram is not None and gram.is_symmetric()
+    definite = gram is not None and gram.is_positive_definite()
+    item(
+        "invariant form is symmetric",
+        lambda: _outcome(form_error) if gram is None else symmetric,
+    )
+    item(
+        "invariant form is positive definite",
+        lambda: definite,
+        "needs the invariant form" if gram is None else "",
+    )
     needs_form = "" if symmetric and definite else "needs the invariant form"
 
     # stage 2, the center diagram. build_center_diagram checks the covering
@@ -138,19 +161,20 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
                   if set(s2) <= set(s3) and (s1, s2, s3) not in checked]
     else:
         chains = homology._covering_triangles(n, ascending=False)
+    needs_diagram = needs_form or needs_centers
     diagram = chain_error = None
-    if not needs_form:
+    if not needs_diagram:
         diagram, chain_error = _attempt(FunctorialityViolation, homology.build_center_diagram, d)
     if diagram is not None:
         _, chain_error = _attempt(FunctorialityViolation, homology._check_chains, diagram, chains)
     # the diagram holds the covering arrows; without it, an empty one
     # computes each pair on demand
     arrow = (homology.CenterDiagram(d, {}) if diagram is None else diagram).arrow
-    item("projection functoriality over chains", lambda: _outcome(chain_error), needs_form)
+    item("projection functoriality over chains", lambda: _outcome(chain_error), needs_diagram)
     item(
         "projections surject onto their targets",
         lambda: all(rank(arrow(s, sp)) == n - len(sp) for s, sp in pairs),
-        needs_form,
+        needs_diagram,
     )
 
     count = point_count_poly(d)
@@ -159,8 +183,12 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         "point count is monic of degree 2n",
         lambda: count.degree == 2 * n and count.coeffs[-1] == 1,
     )
-    item("point count at q = 1 equals the center order", lambda: count.evaluate(1) == z)
-    item("E(1,1) equals the center order", lambda: epoly.evaluate(1) == z)
+    item(
+        "point count at q = 1 equals the center order",
+        lambda: count.evaluate(1) == z,
+        needs_centers,
+    )
+    item("E(1,1) equals the center order", lambda: epoly.evaluate(1) == z, needs_centers)
     if d.is_adjoint():
         item(
             "adjoint form: point count is exactly q^(2n)",
@@ -175,15 +203,18 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     # proper Levi center is disconnected and the diagram was built
     witness = proper_pi0_witness(d)
     refused = f"refused at S = {format_levi(witness)}" if witness else ""
-    complex_ = dd_error = forward = report = None
+    complex_ = dd_error = forward = betti_error = report = None
     if not refused and diagram is not None:
         # build_cech_complex raises unless d.d = 0 on every row
         complex_, dd_error = _attempt(FunctorialityViolation, homology.build_cech_complex, diagram)
     if complex_ is not None:
-        forward = homology._betti_from_complex(complex_)
+        # the rank bookkeeping's guard fails the sphere item below
+        forward, betti_error = _attempt(UctopError, homology._betti_from_complex, complex_)
+    if forward is not None:
         # a boundary that is not the odd sphere fails its item below
         report, _ = _attempt(UctopError, assembly._attach_handles, d, forward)
     needs_complex = refused or ("needs the Cech complex" if complex_ is None else "")
+    needs_betti = needs_complex or ("needs the boundary betti table" if forward is None else "")
     needs_assembly = needs_complex or ("needs the assembly" if report is None else "")
 
     item(
@@ -201,17 +232,19 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         lambda: forward == homology._betti_from_complex(
             homology.CechComplex(n, complex_.rows[::-1])
         ),
-        needs_complex,
+        needs_betti,
     )
     item(
         "total betti bounded by total chain dimension",
         lambda: forward.total() <= sum(sum(r.dims) for r in complex_.rows),
-        needs_complex,
+        needs_betti,
     )
     sphere = (1,) + (0,) * (2 * n - 2) + (1,)
     item(
         "boundary homology is the odd sphere",
-        lambda: (forward.betti == sphere, f"betti {list(forward.betti)}"),
+        lambda: _outcome(betti_error)
+        if forward is None
+        else (forward.betti == sphere, f"betti {list(forward.betti)}"),
         needs_complex,
     )
     item(
@@ -233,10 +266,15 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     if witness is None:
         item("refusal contract: no witness, assembly succeeded", lambda: True, needs_assembly)
     else:
-        _, refusal = _attempt(NontrivialPi0, assembly.universal_centralizer_homology, d)
+        # any other guard the assembly trips fails this item
+        _, refusal = _attempt(UctopError, assembly.universal_centralizer_homology, d)
         item(
             "refusal contract: witness found, assembly refuses with it",
-            lambda: (refusal is not None and refusal.levi == tuple(witness), refused),
+            lambda: (
+                isinstance(refusal, NontrivialPi0) and refusal.levi == tuple(witness),
+                refused,
+            ),
+            needs_centers,
         )
     return items
 

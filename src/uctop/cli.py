@@ -280,21 +280,17 @@ def _cmd_check(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
 # argument handling
 
 
-# name -> (handler, help line, whether rank >= _SLOW_RANK needs --slow), in
-# the order `--help` lists them
+# name -> (handler, help line), in the order `--help` lists them
 COMMANDS = {
-    "info": (_cmd_info, "rank, center order and Weyl group order", False),
-    "pi0": (_cmd_pi0, "component groups of the Levi centers", False),
-    "count": (_cmd_count, "point-count polynomial over F_q", False),
-    "epoly": (_cmd_epoly, "E-polynomial (the count read in uv)", False),
-    "poincare": (_cmd_poincare, "purity-predicted Poincare polynomial", False),
-    "cgbetti": (_cmd_cgbetti, "Betti table of the boundary manifold", True),
-    "jgbetti": (_cmd_jgbetti, "Betti table of the universal centralizer", True),
-    "check": (_cmd_check, "run the cross-module invariant battery", True),
+    "info": (_cmd_info, "rank, center order and Weyl group order"),
+    "pi0": (_cmd_pi0, "component groups of the Levi centers"),
+    "count": (_cmd_count, "point-count polynomial over F_q"),
+    "epoly": (_cmd_epoly, "E-polynomial (the count read in uv)"),
+    "poincare": (_cmd_poincare, "purity-predicted Poincare polynomial"),
+    "cgbetti": (_cmd_cgbetti, "Betti table of the boundary manifold"),
+    "jgbetti": (_cmd_jgbetti, "Betti table of the universal centralizer"),
+    "check": (_cmd_check, "run the cross-module invariant battery"),
 }
-
-
-_SLOW_RANK = 8
 
 
 class _UsageError(Exception):
@@ -309,10 +305,11 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser(names=COMMANDS) -> _Parser:
     """The parser with a subcommand for each of `names`; each subcommand's
     parser is the same whichever others are built beside it."""
-    parser = _Parser(prog="uctop", description=__doc__, add_help=True)
+    # no option prefixes: "--form" is not "--format", whatever options exist
+    parser = _Parser(prog="uctop", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name in names:
-        p = sub.add_parser(name, help=COMMANDS[name][1])
+        p = sub.add_parser(name, help=COMMANDS[name][1], allow_abbrev=False)
         p.add_argument("spec", help="group spec, e.g. A2:adjoint or A1xA2:sc")
         p.add_argument(
             "--format",
@@ -326,19 +323,8 @@ def _build_parser(names=COMMANDS) -> _Parser:
             default=8,
             help="refuse total ranks above this bound (default: 8)",
         )
-        p.add_argument(
-            "--slow",
-            action="store_true",
-            help="allow homology computations at rank >= 8",
-        )
         if name == "pi0":
-            group = p.add_mutually_exclusive_group()
-            group.add_argument(
-                "--all",
-                action="store_true",
-                help="tabulate every subset S (default)",
-            )
-            group.add_argument(
+            p.add_argument(
                 "--levi",
                 type=_parse_levi_arg,
                 default=None,
@@ -388,17 +374,13 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
-    handler, _, slow = COMMANDS[args.command]
+    handler = COMMANDS[args.command][0]
     try:
         spec = parse_spec(args.spec)
         n = spec.cartan_type.rank  # gated before anything n x n is built
         if n > args.max_rank:
             raise GroupSpecError(
                 f"total rank {n} exceeds --max-rank={args.max_rank}"
-            )
-        if slow and n >= _SLOW_RANK and not args.slow:
-            raise GroupSpecError(
-                f"{args.command} at rank {n} is expensive; pass --slow to run it"
             )
         if getattr(args, "levi", None) is not None:
             if any(i < 1 or i > n for i in args.levi):

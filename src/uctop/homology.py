@@ -268,7 +268,7 @@ def _row_homology(row: CechRow, n: int) -> dict[int, int]:
     for p in range(n):
         h = row.dims[p] - ranks.get(p, 0) - ranks.get(p + 1, 0)
         if h < 0:
-            raise ArithmeticError("negative homology dimension: rank bookkeeping bug")
+            raise UctopError("negative homology dimension: rank bookkeeping bug")
         if h:
             out[p] = h
     return out

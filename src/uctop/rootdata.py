@@ -282,7 +282,7 @@ def _levi_root_matrix(d: RootDatum, s: tuple[int, ...]) -> IntMatrix:
 def _center_of_levi_cached(d: RootDatum, s: tuple[int, ...]) -> CenterData:
     factors, kernel = snf(_levi_root_matrix(d, s))
     if kernel.cols != d.rank - len(s):
-        raise ArithmeticError("simple roots must be linearly independent")
+        raise UctopError("simple roots must be linearly independent")
     return CenterData(pi0=factors, cochar_basis=kernel, dim=d.rank - len(s))
 
 
@@ -353,7 +353,7 @@ def _block_symmetrizer(a: list[list[int]], off: int, rk: int) -> list[int]:
                 ds[j] = ds[i] * p // q
                 queue.append(j)
     if not all(ds):
-        raise ArithmeticError("Dynkin diagram of a simple factor must be connected")
+        raise UctopError("Dynkin diagram of a simple factor must be connected")
     g = math.gcd(*ds)
     return [v // g for v in ds]
 

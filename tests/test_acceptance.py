@@ -14,8 +14,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from uctop.assembly import universal_centralizer_homology
 from uctop.cli import main
 from uctop.counting import e_polynomial, poincare_from_purity, point_count_poly
@@ -97,23 +95,16 @@ def test_criterion_2_boundary_sphere(capsys):
     elapsed = time.monotonic() - start
     assert payload["betti"] == list(BettiTable.sphere(11).betti)
     assert elapsed < 60.0, f"E6 must finish in < 60 s, took {elapsed:.1f}"
-    # rank-8 homology is gated behind --slow
-    code = main(["cgbetti", "E8:adjoint"])
-    err = capsys.readouterr().err
-    assert code == 1 and "--slow" in err
+    # the one run of rank-8 arrows and of the cleared exact ranks at rank 8
+    start = time.monotonic()
+    payload = _cgbetti_json("E8:adjoint", capsys)
+    e8_elapsed = time.monotonic() - start
+    assert payload["betti"] == list(BettiTable.sphere(15).betti)
     with capsys.disabled():
         print(
             f"\nACCEPTANCE 2 PASS - boundary betti = S^(2n-1) everywhere, "
-            f"E6 in {elapsed:.2f}s, E8 gated behind --slow"
+            f"E6 in {elapsed:.2f}s, E8 in {e8_elapsed:.2f}s"
         )
-
-
-@pytest.mark.slow
-def test_criterion_2_e8_boundary_sphere_slow(capsys):
-    code = main(["cgbetti", "E8:adjoint", "--slow", "--format=json"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert json.loads(out)["betti"] == list(BettiTable.sphere(15).betti)
 
 
 def test_criterion_3_sl_p_corollary(capsys):

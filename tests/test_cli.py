@@ -187,6 +187,11 @@ def test_usage_errors_exit_1(capsys):
         ["info", "A\u0663:sc"],
         ["info", "A9:sc", "--max-rank=\u0669"],
         ["pi0", "A2:sc", "--levi=\u0661"],
+        # option prefixes are not read as the options they begin
+        ["jgbetti", "A2:adjoint", "--sl"],
+        ["pi0", "A2:sc", "--lev=1"],
+        ["info", "A2:sc", "--form=json"],
+        ["info", "A2:sc", "--max=9"],
     ):
         code = main(argv)
         captured = capsys.readouterr()
@@ -215,8 +220,9 @@ def test_exit_code_partition_over_corpus(capsys):
             ["poincare", "A4:sc"],
             ["cgbetti", "B2:adjoint"],
             ["jgbetti", "A4:sc"],
-            ["pi0", "D4:sc", "--all"],
+            ["pi0", "D4:sc"],
             ["info", "E8:sc"],
+            ["cgbetti", "E8:adjoint"],  # rank 8 is within the default --max-rank
             ["check", "A2:sc"],
         ],
         1: [
@@ -224,7 +230,7 @@ def test_exit_code_partition_over_corpus(capsys):
             ["count", "x:sc"],
             ["cgbetti", "A2:"],
             ["pi0", "A2:sc", "--levi", "5"],
-            ["cgbetti", "E8:adjoint"],  # gated behind --slow
+            ["pi0", "D4:sc", "--all"],  # a retired option
         ],
         2: [
             ["jgbetti", "A3:sc"],
@@ -240,7 +246,7 @@ def test_exit_code_partition_over_corpus(capsys):
 
 
 def test_pi0_all_and_single(capsys):
-    code, out, _ = run_cli(capsys, "pi0", "A3:sc", "--all")
+    code, out, _ = run_cli(capsys, "pi0", "A3:sc")
     assert code == 0
     assert "S = {1,3}: Z/2 (order 2)" in out
     assert "S = {1,2,3}: Z/4 (order 4)" in out
@@ -307,6 +313,9 @@ def test_check_failure_exits_1(capsys, monkeypatch):
         ("_check_square_zero", "cech differentials square to zero"),
         ("_betti_from_complex", "boundary homology is the odd sphere"),
         ("_block_symmetrizer", "invariant form is symmetric"),
+        ("snf", "levi center dimension equals n - |S| for all S"),
+        ("disconnected_block", "invariant form is symmetric"),
+        ("_cleared_ranks", "boundary homology is the odd sphere"),
     ],
 )
 def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
@@ -328,6 +337,39 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
         error = "boundary homology is not the expected odd sphere; assembly premises are violated"
         failed = f"FAIL {item} (betti [1, 0, 1])"
         reasons = ["needs the assembly"] * 5
+    elif guard == "snf":
+        # a kernel one column short trips center_of_levi's guard; pi0 reads
+        # the Levi centers directly, and the check items that read them skip
+        real_snf = rootdata.snf
+
+        def short(m):
+            factors, kernel = real_snf(m)
+            rows = [r[:-1] for r in kernel.to_lists()]
+            return factors, IntMatrix.from_rows(rows, cols=kernel.cols - 1)
+
+        monkeypatch.setattr(rootdata, guard, short)
+        spec, error = "A2:adjoint", "simple roots must be linearly independent"
+        failed = f"FAIL {item} ({error})"
+        reasons = ["needs the Levi centers"] * 9 + ["needs the Cech complex"] * 10
+        assert run_cli(capsys, "pi0", spec) == (1, "", f"error: {error}\n")
+    elif guard == "disconnected_block":
+        # the symmetrizer of a Dynkin block with no edges cannot be built
+        real_symmetrizer = rootdata._block_symmetrizer
+
+        def edgeless(a, off, rk):
+            diagonal = [[x if i == j else 0 for j, x in enumerate(r)] for i, r in enumerate(a)]
+            return real_symmetrizer(diagonal, off, rk)
+
+        monkeypatch.setattr(rootdata, "_block_symmetrizer", edgeless)
+        spec, error = "A2:adjoint", "Dynkin diagram of a simple factor must be connected"
+        failed = f"FAIL {item} ({error})"
+        reasons = ["needs the invariant form"] * 3 + ["needs the Cech complex"] * 10
+    elif guard == "_cleared_ranks":
+        # ranks past the chain dimensions trip the Betti bookkeeping's guard
+        monkeypatch.setattr(homology, guard, lambda row: {p: sum(row.dims) + 1 for p in row.diffs})
+        error = "negative homology dimension: rank bookkeeping bug"
+        failed = f"FAIL {item} ({error})"
+        reasons = ["needs the boundary betti table"] * 2 + ["needs the assembly"] * 5
     else:
         def broken(*args):
             raise FunctorialityViolation(f"rigged {guard}")
@@ -382,8 +424,10 @@ def test_rank_gate_comes_before_any_n_by_n_work(capsys, monkeypatch):
     assert run_cli(capsys, "count", "A100000:sc") == (
         1, "", "error: total rank 100000 exceeds --max-rank=8\n"
     )
-    code, _, err = run_cli(capsys, "cgbetti", "E8:adjoint")
-    assert code == 1 and "--slow" in err
+    # the homology commands have no gate of their own
+    assert run_cli(capsys, "cgbetti", "A9:adjoint") == (
+        1, "", "error: total rank 9 exceeds --max-rank=8\n"
+    )
 
 
 @pytest.mark.parametrize("spec", ["A4:adjoint", "A5:adjoint"])
@@ -502,14 +546,26 @@ def test_info_on_the_pinned_basis_runs_no_smith_form(capsys, monkeypatch):
     assert run_cli(capsys, "count", spec, "--max-rank=9")[0] == 0
 
 
-def test_slow_gate_message(capsys):
-    code, _, err = run_cli(capsys, "cgbetti", "E8:adjoint")
-    assert code == 1
-    assert "--slow" in err
-    # count is cheap and not gated
+def test_retired_options_are_usage_errors(capsys):
+    # --slow once gated the rank-8 homology commands, and pi0's --all restated
+    # its default; both are now unrecognized, whatever the rank
+    for argv in (["cgbetti", "E8:adjoint", "--slow"], ["pi0", "D4:sc", "--all"]):
+        option = argv[-1]
+        assert run_cli(capsys, *argv) == (1, "", f"error: unrecognized arguments: {option}\n")
     code, out, _ = run_cli(capsys, "count", "E8:adjoint")
     assert code == 0
     assert out.strip() == "q^16"
+
+
+def test_check_passes_on_e8(capsys):
+    # the one run of the battery at rank 8: the golden check hashes stop at
+    # rank 5 and the benchmark at rank 7
+    code, out, _ = run_cli(capsys, "check", "E8:adjoint")
+    assert code == 0
+    lines = out.splitlines()
+    assert not [x for x in lines if x.startswith("FAIL")]
+    # the one skip is the reflection enumeration, past rank 4
+    assert lines[-1] == "27 checks: 26 passed, 0 failed, 1 skipped"
 
 
 def test_check_passes_on_whole_acceptance_matrix(capsys):
@@ -551,8 +607,9 @@ def test_check_output_matches_benchmark_golden_bytes(capsys):
 
 
 # stdout, stderr and exit code of every command, in table and JSON form, on
-# a few specs (a refused one and a lattice= one among them), plus --help and
-# the usage shapes that build the full command table or a single subcommand;
+# a few specs (a refused one and a lattice= one among them), plus --help, the
+# usage shapes that build the full command table or a single subcommand, and
+# options the CLI does not read (retired ones, and an option's prefix);
 # recorded from the CLI and compared byte for byte. A list under "err" holds
 # each form that argparse prints: its invalid-choice message quotes the
 # choices with repr() on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0, and
