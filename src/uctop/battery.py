@@ -131,7 +131,7 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
 
     # stage 1, the invariant form: invariant_form's guard, item by item, on
     # the form it guards (a symmetrizer that cannot be built fails the
-    # first); every projection reads the form
+    # first); the center diagram certifies its arrows against the form
     gram, form_error = _attempt(UctopError, rootdata._symmetrized_cartan, d.cartan_type)
     symmetric = gram is not None and gram.is_symmetric()
     definite = gram is not None and gram.is_positive_definite()
@@ -146,10 +146,10 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     )
     needs_form = "" if symmetric and definite else "needs the invariant form"
 
-    # stage 2, the center diagram. build_center_diagram checks the covering
-    # triangles with a < b itself; the battery's chains are the rest (every
-    # other nested chain at n <= 4, the other middle set above), so each
-    # chain is checked once
+    # stage 2, the center diagram. build_center_diagram certifies the form
+    # and checks the covering triangles with a < b itself; the battery's
+    # chains are the rest (every other nested chain at n <= 4, the other
+    # middle set above), so each chain is checked once
     proper = all_levi_subsets(n, proper=True)
     if n <= 5:  # every nested pair, else the covering pairs
         pairs = [(s, sp) for s in proper for sp in proper if set(s) <= set(sp)]
@@ -164,7 +164,7 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     needs_diagram = needs_form or needs_centers
     diagram = chain_error = None
     if not needs_diagram:
-        diagram, chain_error = _attempt(FunctorialityViolation, homology.build_center_diagram, d)
+        diagram, chain_error = _attempt(UctopError, homology.build_center_diagram, d)
     if diagram is not None:
         _, chain_error = _attempt(FunctorialityViolation, homology._check_chains, diagram, chains)
     # the diagram holds the covering arrows; without it, an empty one

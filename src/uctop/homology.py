@@ -14,20 +14,36 @@ from A to A - {a} equal to (-1)^pos(a, A) times the w-th compound of the
 projection arrow. Every stalk is a homology object, so the rows never
 interact and the Betti number in total degree m is the sum over w + p = m of
 the row homology dimensions.
+
+Everything is written in fundamental-coweight coordinates. Over Q the
+cocharacter space of Z(L_S) is span{omega_k^vee : k not in S} for every
+isogeny, so the lattice enters only through the refusal witness and the Levi
+SNFs it is compared with. The projection onto the space of S' fixes each
+omega_k^vee with k outside S' and kills the coroots alpha_i^vee, i in S',
+which the invariant form makes orthogonal to every omega_k^vee with k != i
+(`_check_form` certifies that once per datum). So it sends omega_a^vee,
+a in S', to column a of V_S' = -A[K', S'] . A[S', S']^(-1), with A the
+Cartan matrix and K' the complement of S', one small solve per S'. Each
+covering arrow S -> S + {a} is the identity plus one column, its compounds
+have closed-form minors, and a covering triangle is an identity between
+columns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from ._value import Frozen, Value, setfield
 from .errors import FunctorialityViolation, NontrivialPi0, UctopError, format_levi
-from .rational import RatMatrix, _pivot_rows, _subset_index, exterior_powers
+from .matrices import IntMatrix
+from .rational import RatMatrix, _pivot_rows, _subset_index
 from .rootdata import (
     RootDatum,
-    _killing_projection,
     all_levi_subsets,
+    cartan_matrix,
     center_of_levi,
+    invariant_form,
     memoized,
     proper_pi0_witness,
 )
@@ -71,52 +87,124 @@ class BettiTable(Frozen):
         return sum(self.betti)
 
 
+# a covering arrow's one column, (den, {target position: numerator})
+Column = tuple[int, dict[int, int]]
+
+
 class CenterDiagram(Value):
     """Projection arrows between Levi-center cocharacter spaces, over S
-    properly inside Pi ordered by inclusion.
+    properly inside Pi ordered by inclusion, in fundamental-coweight
+    coordinates.
 
     `arrows` holds exactly the covering arrows (S, S + {a}) with S + {a}
-    proper, each the projection matrix in the two bases: one per block of
-    the Cech differentials, which read nothing else here. `arrow(S, S')`
-    returns the arrow of any nested pair of normalized tuples, (S, S)
-    included, computing the others the first time it is asked for and
-    keeping them apart from `arrows`. Arrow composition is exact:
-    arrow(S', S'') . arrow(S, S') == arrow(S, S'').
+    proper: one per block of the Cech differentials, which read nothing else
+    here. Each is the identity plus one column, kept as (den, column): the
+    projection of omega_a^vee, with `column` mapping each target position r
+    (the r-th coweight outside S + {a}) to its nonzero numerator over den.
+    `arrow(S, S')` returns the arrow of any nested pair of normalized tuples,
+    (S, S) included, as a `RatMatrix` (columns: the coweights outside S,
+    rows: those outside S'), built the first time it is asked for. Arrow
+    composition is exact: arrow(S', S'') . arrow(S, S') == arrow(S, S'').
     """
 
     _fields = ("datum", "arrows")
-    __slots__ = _fields + ("_long",)
+    __slots__ = _fields + ("_matrices",)
 
     def __init__(
-        self, datum: RootDatum, arrows: dict[tuple[tuple[int, ...], tuple[int, ...]], RatMatrix]
+        self, datum: RootDatum, arrows: dict[tuple[tuple[int, ...], tuple[int, ...]], Column]
     ) -> None:
         self.datum = datum
         self.arrows = arrows
-        self._long = {}
+        self._matrices = {}
 
     def arrow(self, s: tuple[int, ...], sp: tuple[int, ...]) -> RatMatrix:
         key = (s, sp)
-        if key in self.arrows:
-            return self.arrows[key]
-        if key not in self._long:
+        if key not in self._matrices:
             if not set(s) <= set(sp):
                 raise ValueError(f"Levi set {s} is not contained in {sp}")
-            self._long[key] = _killing_projection(self.datum, s, sp)
-        return self._long[key]
+            self._matrices[key] = _coweight_arrow(self.datum, s, sp)
+        return self._matrices[key]
+
+
+@memoized
+def _cartan_rows(d: RootDatum) -> list[list[int]]:
+    return cartan_matrix(d.cartan_type).to_lists()
+
+
+@memoized
+def _check_form(d: RootDatum) -> None:
+    """Certify the fact the coweight arrows rest on, once per datum.
+
+    G = `invariant_form(d)` (whose own guards raise first) is the Gram
+    matrix of the simple coroots, and omega^vee = alpha^vee . A^(-1), so
+    G . A^(-1) holds the pairings (alpha_i^vee, omega_k^vee). It is diagonal,
+    i.e. the coroots in S' span the orthogonal complement of the coweights
+    outside S', exactly when G = D . A with D diagonal: when row i of G is
+    G_ii / A_ii times row i of A.
+    """
+    g, a = invariant_form(d).to_lists(), _cartan_rows(d)
+    n = d.rank
+    if any(g[i][j] * a[i][i] != g[i][i] * a[i][j] for i in range(n) for j in range(n)):
+        raise UctopError("Gram matrix times the inverse Cartan matrix must be diagonal")
+
+
+@memoized
+def _coweight_columns(d: RootDatum, sp: tuple[int, ...]) -> tuple[int, dict[int, dict[int, int]]]:
+    """V_S' = -A[K', S'] . A[S', S']^(-1) for a nonempty proper S', with K'
+    its complement and A the Cartan matrix, as (den, columns): columns[a]
+    maps each k in K' where column a is nonzero to its numerator over den.
+
+    Column a is the projection of omega_a^vee onto the cocharacter space of
+    Z(L_S'), written in the coweights omega_k^vee, k in K': the projection
+    fixes those and kills the coroots alpha_i^vee, i in S', and
+    alpha_i^vee = sum over k of A[k, i] omega_k^vee. It is one fraction-free
+    solve of A[S', S']^T X = -A[K', S']^T, whose solution is V_S' transposed.
+    """
+    a = _cartan_rows(d)
+    outside = [k for k in range(1, d.rank + 1) if k not in sp]
+    size, width = len(sp), len(outside)
+    block = IntMatrix(size, size, tuple(a[j - 1][i - 1] for i in sp for j in sp))
+    rhs = IntMatrix(size, width, tuple(-a[k - 1][i - 1] for i in sp for k in outside))
+    x, den, _ = block.solve(rhs)
+    columns = {i: {k: v for k, v in zip(outside, x.row(r)) if v} for r, i in enumerate(sp)}
+    return den, columns
+
+
+def _coweight_arrow(d: RootDatum, s: tuple[int, ...], sp: tuple[int, ...]) -> RatMatrix:
+    """The projection from the space of S onto that of S' (S inside S') as a
+    matrix: identity on the coweights outside S', and column a of V_S' at
+    each a in S' - S."""
+    source = [k for k in range(1, d.rank + 1) if k not in s]
+    if s == sp:
+        return RatMatrix.identity(len(source))
+    den, columns = _coweight_columns(d, sp)
+    added = [(j, columns[k]) for j, k in enumerate(source) if k in sp]
+    num = []
+    for j, k in enumerate(source):
+        if k not in sp:
+            num.append({j: den, **{i: column[k] for i, column in added if k in column}})
+    return RatMatrix(len(num), len(source), tuple(num), (den,) * len(num))
 
 
 def build_center_diagram(d: RootDatum) -> CenterDiagram:
-    """Populate the covering arrows; verify functoriality on covering
-    triangles.
+    """Certify the invariant form, populate the covering arrows, and verify
+    functoriality on covering triangles.
 
     Each triangle S -> S + {a} -> S + {a, b} with a < b is checked against
     the long arrow S -> S + {a, b}. The other middle set S + {b} needs no
     check here: d.d = 0 at w = 1, which `build_cech_complex` verifies, says
     exactly that both paths around the square agree.
     """
-    arrows = {(s, sp): _killing_projection(d, s, sp) for s, sp, _ in _covering_pairs(d.rank)}
+    _check_form(d)
+    n = d.rank
+    arrows = {}
+    for s, sp, a in _covering_pairs(n):
+        den, columns = _coweight_columns(d, sp)
+        column = columns[a]
+        target = (k for k in range(1, n + 1) if k not in sp)
+        arrows[(s, sp)] = (den, {r: column[k] for r, k in enumerate(target) if k in column})
     diagram = CenterDiagram(d, arrows)
-    _check_chains(diagram, _covering_triangles(d.rank))
+    _check_chains(diagram, _covering_triangles(n))
     return diagram
 
 
@@ -142,13 +230,42 @@ def _covering_triangles(n: int, ascending: bool = True):
 
 def _check_chains(diagram: CenterDiagram, chains) -> None:
     """Raise FunctorialityViolation unless, on every chain s1 <= s2 <= s3,
-    arrow(s2, s3) . arrow(s1, s2) == arrow(s1, s3)."""
+    arrow(s2, s3) . arrow(s1, s2) == arrow(s1, s3).
+
+    Both sides fix the coweights outside s3 and send omega_a^vee, a in
+    s3 - s2, to column a of V_s3. What is left is a in s2 - s1, where the
+    identity reads, with K3 the complement of s3,
+
+        V_s3[:, a] == V_s2[K3, a] + sum over b in s3 - s2 of V_s2[b, a] V_s3[:, b].
+
+    It does not depend on s1, so each (s2, s3, a) is checked once, in
+    integers.
+    """
+    d = diagram.datum
+    done = set()
     for s1, s2, s3 in chains:
-        if diagram.arrow(s2, s3).mul(diagram.arrow(s1, s2)) != diagram.arrow(s1, s3):
-            raise FunctorialityViolation(
-                f"projection composite through {s2} disagrees with the "
-                f"direct arrow {s1} -> {s3}"
-            )
+        for a in s2:
+            if a not in s1 and (s2, s3, a) not in done:
+                done.add((s2, s3, a))
+                if not _composes(_coweight_columns(d, s2), _coweight_columns(d, s3), s3, a):
+                    raise FunctorialityViolation(
+                        f"projection composite through {s2} disagrees with the "
+                        f"direct arrow {s1} -> {s3}"
+                    )
+
+
+def _composes(v2, v3, s3: tuple[int, ...], a: int) -> bool:
+    """`_check_chains`' identity on column a, for V_s2 = v2 and V_s3 = v3 as
+    (den, columns), multiplied through by both denominators."""
+    (den2, columns2), (den3, columns3) = v2, v3
+    via = columns2[a]
+    total = {k: den3 * v for k, v in via.items() if k not in s3}
+    for b, c in via.items():
+        if b in s3:
+            for k, v in columns3[b].items():
+                total[k] = total.get(k, 0) + c * v
+    direct = {k: den2 * v for k, v in columns3[a].items()}
+    return {k: v for k, v in total.items() if v} == direct
 
 
 class CechRow(Value):
@@ -180,18 +297,17 @@ class CechComplex(Value):
 def build_cech_complex(diagram: CenterDiagram) -> CechComplex:
     """Assemble the block differentials for every exterior degree; check d.d = 0.
 
-    Every block is a compound of a covering arrow. Each arrow's minors come
-    from one `exterior_powers` stream, advanced one size per exterior degree,
-    so every minor is computed once, in integers.
+    Every block is a compound of a covering arrow [I | v], whose minors are
+    read off `_minor_patterns` in closed form, in integers.
     """
     n = diagram.datum.rank
     faces = _faces(diagram.arrows, n)
-    streams = {key: exterior_powers(m) for key, m in diagram.arrows.items()}
     rows: list[CechRow] = []
     for w in range(n + 1):
-        minors = {key: next(stream) for key, stream in streams.items()}
         dims = [math.comb(p + 1, w) * math.comb(n, p + 1) for p in range(n)]
-        diffs = {p: _assemble_differential(minors, faces[p], w, p, dims) for p in range(1, n)}
+        diffs = {
+            p: _assemble_differential(diagram.arrows, faces[p], w, p, dims) for p in range(1, n)
+        }
         row = CechRow(w, dims, diffs)
         _check_square_zero(row, n)
         rows.append(row)
@@ -199,12 +315,12 @@ def build_cech_complex(diagram: CenterDiagram) -> CechComplex:
 
 
 def _faces(keys, n: int) -> dict[int, list[list]]:
-    """faces[p][t] lists (arrow key, source index, sign) of the blocks in the
+    """faces[p][t] lists (arrow key, source index, pos) of the blocks in the
     rows of target t of the level-p differential, by source index.
 
     The covering arrow (S, S + {a}) is the face from A = Pi - S to A - {a},
-    with sign (-1)^pos(a, A). Index sets are written 0-based here, and the
-    sets of each size are numbered in lex order.
+    with a at position pos of A and sign (-1)^pos. Index sets are written
+    0-based here, and the sets of each size are numbered in lex order.
     """
     index_of = [_subset_index(n, k) for k in range(n + 1)]
     faces = {p: [[] for _ in index_of[p]] for p in range(1, n)}
@@ -213,28 +329,69 @@ def _faces(keys, n: int) -> dict[int, list[list]]:
         pos = next(k for k, i in enumerate(source) if i + 1 in sp)  # a, the one element of A in S'
         target = source[:pos] + source[pos + 1 :]
         faces[len(target)][index_of[len(target)][target]].append(
-            ((s, sp), index_of[len(source)][source], -1 if pos % 2 else 1)
+            ((s, sp), index_of[len(source)][source], pos)
         )
     return faces
 
 
-def _assemble_differential(minors, faces, w, p, dims):
+def _minor_patterns(p: int, w: int) -> list:
+    """Where the nonzero w x w minors of a covering arrow sit, and their
+    signs, for each source position pos of its one column.
+
+    The arrow maps p + 1 source coweights onto p target ones. It is the
+    identity except at source position pos, whose column is v. On target
+    rows R and source columns C (w-subsets, lexicographic), the minor is 1
+    when C is R, (-1)^(i + j) v_r when C is R - {r} + {pos} with r at place i
+    of R and pos at place j of C, and 0 otherwise. Item pos is (ones, by_r):
+    the (row, column) of each minor of the first kind, and by_r[r] the
+    (row, column, sign) of each of the second kind that reads v_r.
+    """
+    cols = _subset_index(p + 1, w)
+    rsubs = list(itertools.combinations(range(p), w))
+    patterns = []
+    for pos in range(p + 1):
+        lift = [t if t < pos else t + 1 for t in range(p)]  # target -> source position
+        ones, by_r = [], [[] for _ in range(p)]
+        for row, rsub in enumerate(rsubs):
+            csub = [lift[t] for t in rsub]
+            ones.append((row, cols[tuple(csub)]))
+            j = sum(1 for c in csub if c < pos)  # the place of pos once r is dropped
+            for i, r in enumerate(rsub):
+                rest = csub[:i] + csub[i + 1 :]
+                jr = j - 1 if i < j else j
+                col = cols[(*rest[:jr], pos, *rest[jr:])]
+                by_r[r].append((row, col, -1 if (i + jr) % 2 else 1))
+        patterns.append((ones, by_r))
+    return patterns
+
+
+def _fill_block(rows, col0: int, pattern, arrow: Column, scale: int) -> None:
+    """Write `scale` times den times the minors of the arrow (den, v) into
+    `rows`, their columns shifted by col0."""
+    (den, column), (ones, by_r) = arrow, pattern
+    one = scale * den
+    for row, col in ones:
+        rows[row][col0 + col] = one
+    for r, v in column.items():
+        x = scale * v
+        for row, col, sign in by_r[r]:
+            rows[row][col0 + col] = sign * x
+
+
+def _assemble_differential(arrows, faces, w, p, dims):
     # block coordinates: w-subsets of the target (p of them) and source
-    # (p + 1) cocharacter bases, lexicographic; the rows of one target share
-    # the lcm of its arrows' denominators
-    lo_index, hi_index = _subset_index(p, w), _subset_index(p + 1, w)
-    lo, hi = len(lo_index), len(hi_index)
+    # (p + 1) coweights, lexicographic; the rows of one target share the lcm
+    # of its arrows' denominators
+    lo, hi = math.comb(p, w), math.comb(p + 1, w)
+    patterns = _minor_patterns(p, w)
     num: list[dict[int, int]] = []
     den: list[int] = []
     for incoming in faces:
-        row_den = math.lcm(*(minors[key][0] for key, _, _ in incoming))
+        row_den = math.lcm(*(arrows[key][0] for key, _, _ in incoming))
         block_rows: list[dict[int, int]] = [{} for _ in range(lo)]
-        for key, source, sign in incoming:
-            arrow_den, arrow_minors = minors[key]
-            f = sign * (row_den // arrow_den)
-            col0 = source * hi
-            for (rsub, csub), v in arrow_minors.items():
-                block_rows[lo_index[rsub]][col0 + hi_index[csub]] = f * v
+        for key, source, pos in incoming:
+            f = row_den // arrows[key][0]
+            _fill_block(block_rows, source * hi, patterns[pos], arrows[key], -f if pos % 2 else f)
         num.extend(block_rows)
         den.extend([row_den] * lo)
     return RatMatrix(dims[p - 1], dims[p], tuple(num), tuple(den))
@@ -244,7 +401,7 @@ def _check_square_zero(row: CechRow, n: int) -> None:
     for p in range(2, n):
         d_hi = row.diffs[p]
         d_lo = row.diffs[p - 1]
-        if not d_lo.mul(d_hi).is_zero():
+        if not d_lo.mul_is_zero(d_hi):
             raise FunctorialityViolation(
                 f"d.d != 0 in exterior degree {row.w} at level {p}"
             )
@@ -293,9 +450,9 @@ def boundary_homology(d: RootDatum) -> BettiTable:
     identification used by this computation fails there.
 
     The witness comes from X/Q and the component groups from Levi SNFs, and
-    the two routes are compared wherever the SNFs are computed anyway: at the
-    witness on refusal, and at every proper S, whose cocharacter basis the
-    diagram reads, otherwise. A disagreement raises UctopError.
+    the two routes are compared: at the witness on refusal, and at every
+    proper S otherwise. A disagreement raises UctopError. The diagram itself
+    reads only the Cartan matrix and the invariant form.
     """
     witness = proper_pi0_witness(d)
     if witness is not None:

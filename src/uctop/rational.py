@@ -47,13 +47,13 @@ class RatMatrix(Frozen):
         for row, d in zip(num, den):
             if d == 0:
                 raise ValueError("row denominator must be nonzero")
-            if any(j < 0 or j >= cols for j in row):
+            if row and (min(row) < 0 or max(row) >= cols):
                 raise ValueError("column index out of range")
             row = {j: v for j, v in row.items() if v}
-            g = math.gcd(d, *row.values()) if row else abs(d)
+            g = math.gcd(d, *row.values())
             if d < 0:
                 g = -g
-            lowest.append({j: v // g for j, v in row.items()})
+            lowest.append({j: v // g for j, v in row.items()} if g != 1 else row)
             dens.append(d // g)
         setfield(self, "rows", rows)
         setfield(self, "cols", cols)
@@ -99,21 +99,29 @@ class RatMatrix(Frozen):
 
     def mul(self, other: RatMatrix) -> RatMatrix:
         """Exact sparse product, computed in integers."""
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in product")
         # bring other's rows to one denominator m, then each product row
         # is an integer combination of them over den[i] * m
         m = math.lcm(*other.den)
+        num = tuple(self._product_rows(other, m))
+        return RatMatrix(self.rows, other.cols, num, tuple(d * m for d in self.den))
+
+    def mul_is_zero(self, other: RatMatrix) -> bool:
+        """Whether self . other == 0, exactly, without building the product."""
+        rows = self._product_rows(other, math.lcm(*other.den))
+        return not any(any(row.values()) for row in rows)
+
+    def _product_rows(self, other: RatMatrix, m: int) -> Iterator[dict[int, int]]:
+        """The rows of den[i] * m * (self . other), m a common multiple of other.den."""
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch in product")
         scale = [m // d for d in other.den]
-        num = []
         for row in self.num:
             acc: dict[int, int] = {}
             for k, a in row.items():
                 f = a * scale[k]
                 for j, b in other.num[k].items():
                     acc[j] = acc.get(j, 0) + f * b
-            num.append(acc)
-        return RatMatrix(self.rows, other.cols, tuple(num), tuple(d * m for d in self.den))
+            yield acc
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -123,7 +131,8 @@ def rank(m: RatMatrix | IntMatrix) -> int:
     """Rank over the rationals, by sparse elimination on the numerator rows
     (the matrix with its denominators cleared row by row, same rank)."""
     if isinstance(m, IntMatrix):
-        m = RatMatrix.from_int(m)
+        rows = [{j: e for j, e in enumerate(m.row(i)) if e} for i in range(m.rows)]
+        return len(_pivot_rows(rows))
     return len(_pivot_rows(m.num))
 
 

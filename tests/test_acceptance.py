@@ -28,7 +28,7 @@ from uctop.rootdata import (
     proper_pi0_witness,
 )
 
-from uctop.oracles import determinantal_divisor_data
+from reference_oracles import determinantal_divisor_data
 
 ADJOINT_LIST = [
     "A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4", "A1xA1", "A1xA2",

@@ -316,6 +316,8 @@ def test_check_failure_exits_1(capsys, monkeypatch):
         ("snf", "levi center dimension equals n - |S| for all S"),
         ("disconnected_block", "invariant form is symmetric"),
         ("_cleared_ranks", "boundary homology is the odd sphere"),
+        ("_coweight_columns", "projection functoriality over chains"),
+        ("invariant_form", "projection functoriality over chains"),
     ],
 )
 def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
@@ -370,6 +372,28 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
         error = "negative homology dimension: rank bookkeeping bug"
         failed = f"FAIL {item} ({error})"
         reasons = ["needs the boundary betti table"] * 2 + ["needs the assembly"] * 5
+    elif guard == "_coweight_columns":
+        # one rigged entry of the projection of omega_1^vee onto S' = {1,2}
+        # breaks the closed-form covering triangle () -> {1} -> {1,2}
+        real_columns = homology._coweight_columns
+
+        def rigged(d, sp):
+            den, columns = real_columns(d, sp)
+            if sp == (1, 2):
+                columns = {**columns, 1: {k: v + 1 for k, v in columns[1].items()}}
+            return den, columns
+
+        monkeypatch.setattr(homology, guard, rigged)
+        error = "projection composite through (1,) disagrees with the direct arrow () -> (1, 2)"
+        failed = f"FAIL {item} ({error})"
+        reasons = ["needs the Cech complex"] * 10
+    elif guard == "invariant_form":
+        # a symmetric positive definite form that does not make the coroots
+        # orthogonal to the other fundamental coweights fails the certificate
+        monkeypatch.setattr(homology, guard, lambda d: IntMatrix.identity(d.rank))
+        error = "Gram matrix times the inverse Cartan matrix must be diagonal"
+        failed = f"FAIL {item} ({error})"
+        reasons = ["needs the Cech complex"] * 10
     else:
         def broken(*args):
             raise FunctorialityViolation(f"rigged {guard}")
@@ -504,21 +528,14 @@ def test_failed_battery_chains_leave_the_diagram_to_later_stages(
 
 
 @pytest.mark.parametrize("spec", ["A4:sc", "A5:adjoint"])
-def test_check_projects_each_nested_pair_once(capsys, monkeypatch, spec):
-    # every projection the diagram and the battery make takes this one path
-    from uctop import homology
-    from uctop.rootdata import _killing_projection
-
-    calls = []
-
-    def counting(d, s, sp):
-        calls.append((s, sp))
-        return _killing_projection(d, s, sp)
-
-    monkeypatch.setattr(homology, "_killing_projection", counting)
+def test_check_solves_each_cartan_submatrix_once(capsys, cartan_solves, spec):
+    # the diagram and the battery read the same coweight columns: no
+    # lattice-basis projection, no Laplace minors, one solve per nonempty
+    # proper S'
     code, out, _ = run_cli(capsys, "check", spec)
     assert code == 0 and "0 failed" in out
-    assert calls and len(calls) == len(set(calls))
+    solved, blocks = cartan_solves(parse_spec(spec).datum())
+    assert solved == blocks
 
 
 def test_count_on_the_pinned_basis_matches_the_weight_lattice(capsys):
@@ -632,17 +649,21 @@ def test_cli_output_is_pinned(capsys, monkeypatch, key):
 
 
 def test_oracles_stay_independent_of_the_library():
-    tree = ast.parse((ROOT / "src" / "uctop" / "oracles.py").read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, "oracles must not import from the package"
-            names = [node.module]
-        else:
-            continue
-        for name in names:
-            assert name.split(".")[0] in sys.stdlib_module_names, name
+    # the test-only oracles read the package's oracles and nothing else of it
+    for path, allowed in (
+        (ROOT / "src" / "uctop" / "oracles.py", ()),
+        (ROOT / "tests" / "reference_oracles.py", ("uctop.oracles",)),
+    ):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "oracles must not import from the package"
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name in allowed or name.split(".")[0] in sys.stdlib_module_names, name
     # the package loads the battery and its oracles only when `check` runs
     probe = (
         "import io, sys, contextlib, uctop, uctop.cli\n"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -17,24 +16,28 @@ from uctop.homology import (
     _betti_from_complex,
     _check_square_zero,
     _cleared_ranks,
+    _fill_block,
+    _minor_patterns,
     boundary_homology,
     build_cech_complex,
     build_center_diagram,
     total_euler,
 )
 from uctop.matrices import IntMatrix
-from uctop.rational import RatMatrix, rank
+from uctop.rational import RatMatrix, compound, rank
 from uctop.rootdata import (
     CartanType,
+    _roots_in_basis,
     all_levi_subsets,
     build_datum,
     center_of_levi,
-    _killing_projection,
     invariant_form,
     killing_projection,
 )
 
-from uctop.oracles import cramer_projection, leibniz_det, naive_rank
+from uctop.oracles import leibniz_det
+
+from reference_oracles import cramer_projection, naive_rank
 
 
 def ct(*factors):
@@ -104,58 +107,75 @@ def test_diagram_functoriality_exact():
     for t, iso in ((ct(("A", 3)), "adjoint"), (ct(("B", 3)), "sc")):
         d = build_datum(t, iso)
         diag = build_center_diagram(d)
-        for (s1, s2), m12 in diag.arrows.items():
-            for (s2b, s3), m23 in diag.arrows.items():
+        for s1, s2 in diag.arrows:
+            for s2b, s3 in diag.arrows:
                 if s2b != s2:
                     continue
-                assert m23.mul(m12) == diag.arrow(s1, s3)
+                assert diag.arrow(s2, s3).mul(diag.arrow(s1, s2)) == diag.arrow(s1, s3)
 
 
 def test_diagram_holds_covering_arrows_only():
+    # the arrows are the Killing projections of the lattice's Smith bases,
+    # written in coweights: T_S' . killing_projection(S, S') == arrow(S, S') . T_S,
+    # with T_S = R . B_S on the rows k outside S (R the simple roots in the
+    # lattice basis, B_S the Smith cocharacter basis)
+    so8 = IntMatrix.from_rows([[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 1], [0, 0, -1, 1]])
     for t, iso in (
         (ct(("A", 3)), "adjoint"),
         (ct(("B", 3)), "sc"),
+        (ct(("G", 2)), "adjoint"),
+        (ct(("C", 4)), "sc"),
+        (ct(("D", 4)), so8),
         (ct(("A", 1), ("A", 2)), "adjoint"),
+        (ct(("A", 1), ("B", 2)), "sc"),
     ):
         d = build_datum(t, iso)
         diag = build_center_diagram(d)
         n = t.rank
+        roots = _roots_in_basis(d)
+
+        def to_coweights(s):
+            m = roots.mul(center_of_levi(d, s).cochar_basis)
+            rows = [m.row(k - 1) for k in range(1, n + 1) if k not in s]
+            return RatMatrix.from_rows(rows, m.cols)
+
         proper = all_levi_subsets(n, proper=True)
         nested = [(s, sp) for s in proper for sp in proper if set(s) <= set(sp)]
         assert set(diag.arrows) == {(s, sp) for s, sp in nested if len(sp) == len(s) + 1}, str(t)
         for s, sp in nested:
-            assert diag.arrow(s, sp) == killing_projection(d, s, sp), (str(t), s, sp)
+            lhs = to_coweights(sp).mul(killing_projection(d, s, sp))
+            assert lhs == diag.arrow(s, sp).mul(to_coweights(s)), (str(t), s, sp)
             if s == sp:
                 assert diag.arrow(s, s) == RatMatrix.identity(n - len(s)), (str(t), s)
         with pytest.raises(ValueError):
             diag.arrow((1,), (2,))
 
 
-@pytest.mark.parametrize("spec, count", [("D6:adjoint", 411), ("A4:sc", 46)])
-def test_boundary_homology_projects_covering_and_long_triangle_pairs_once(monkeypatch, spec, count):
-    # one projection per covering pair (S, S + {a}), one per long arrow
-    # (S, S + {a, b}) with a < b that the triangle check compares, and no
-    # identity (S, S)
-    calls = []
+def test_closed_form_minors_are_the_compounds_of_the_arrows():
+    for spec in ("D5:adjoint", "B4:sc"):
+        d = parse_spec(spec).datum()
+        n = d.rank
+        diag = build_center_diagram(d)
+        for (s, sp), arrow in diag.arrows.items():
+            source = [k for k in range(1, n + 1) if k not in s]
+            pos = next(j for j, k in enumerate(source) if k in sp)
+            p = len(source) - 1
+            for w in range(p + 2):
+                rows = [{} for _ in range(math.comb(p, w))]
+                _fill_block(rows, 0, _minor_patterns(p, w)[pos], arrow, 1)
+                dens = (arrow[0],) * len(rows)
+                got = RatMatrix(len(rows), math.comb(p + 1, w), tuple(rows), dens)
+                assert got == compound(diag.arrow(s, sp), w), (spec, s, sp, w)
 
-    def counting(d, s, sp):
-        calls.append((s, sp))
-        return _killing_projection(d, s, sp)
 
-    monkeypatch.setattr(homology, "_killing_projection", counting)
+@pytest.mark.parametrize("spec", ["D6:adjoint", "A4:sc"])
+def test_boundary_homology_solves_each_cartan_submatrix_once(cartan_solves, spec):
+    # no lattice-basis projection and no Laplace minors: one small solve per
+    # nonempty proper S' gives every arrow
     d = parse_spec(spec).datum()
-    n = d.rank
-    assert boundary_homology(d) == BettiTable.sphere(2 * n - 1)
-    full = set(range(1, n + 1))
-    want = [
-        (s, tuple(sorted(s + extra)))
-        for s in all_levi_subsets(n, proper=True)
-        for k in (1, 2)
-        if len(s) + k < n
-        for extra in itertools.combinations(sorted(full - set(s)), k)
-    ]
-    assert sorted(calls) == sorted(want)
-    assert len(calls) == count
+    assert boundary_homology(d) == BettiTable.sphere(2 * d.rank - 1)
+    solved, blocks = cartan_solves(d)
+    assert solved == blocks
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,13 @@ from uctop.matrices import IntMatrix, InvariantFactors, snf
 from uctop.rational import RatMatrix, compound, rank
 from uctop.rootdata import CartanType, cartan_matrix
 
-from uctop.oracles import (
+from uctop.oracles import leibniz_det, minor_gcds, subset_divisor_data
+
+from reference_oracles import (
     coset_invariant_factors,
     cramer_solve,
     determinantal_divisor_data,
-    leibniz_det,
-    minor_gcds,
     naive_rank,
-    subset_divisor_data,
 )
 
 
@@ -255,6 +254,7 @@ def test_sparse_matrix_agrees_with_dense():
         assert gf.to_lists() == want
         assert gf.entries == tuple(e for row in want for e in row)
         assert gf.is_zero() == all(e == 0 for row in want for e in row)
+        assert g.mul_is_zero(f) == gf.is_zero()
         assert gf == RatMatrix.from_rows(want, cols=a)
         assert rank(gf) == naive_rank(want)
 

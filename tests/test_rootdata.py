@@ -34,12 +34,9 @@ from uctop.rootdata import (
     weyl_order,
 )
 
-from uctop.oracles import (
-    cramer_projection,
-    determinantal_divisor_data,
-    leibniz_det,
-    reflection_group_order,
-)
+from uctop.oracles import leibniz_det, reflection_group_order
+
+from reference_oracles import cramer_projection, determinantal_divisor_data
 
 
 ROOT = Path(__file__).resolve().parents[1]
