@@ -14,7 +14,7 @@ from __future__ import annotations
 from . import assembly, homology, oracles, rootdata
 from .counting import e_polynomial, point_count_poly, poincare_from_purity
 from .errors import FunctorialityViolation, NontrivialPi0, UctopError, format_levi
-from .rational import rank
+from .rational import _pivot_rows, rank
 from .rootdata import (
     RootDatum,
     all_levi_subsets,
@@ -147,33 +147,23 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     needs_form = "" if symmetric and definite else "needs the invariant form"
 
     # stage 2, the center diagram. build_center_diagram certifies the form
-    # and checks the covering triangles with a < b itself; the battery's
-    # chains are the rest (every other nested chain at n <= 4, the other
-    # middle set above), so each chain is checked once
-    proper = all_levi_subsets(n, proper=True)
-    if n <= 5:  # every nested pair, else the covering pairs
-        pairs = [(s, sp) for s in proper for sp in proper if set(s) <= set(sp)]
-    else:
-        pairs = [(s, sp) for s, sp, _ in homology._covering_pairs(n)]
-    if n <= 4:
-        checked = set(homology._covering_triangles(n))
-        chains = [(s1, s2, s3) for s1, s2 in pairs for s3 in proper
-                  if set(s2) <= set(s3) and (s1, s2, s3) not in checked]
-    else:
-        chains = homology._covering_triangles(n, ascending=False)
+    # and checks the covering triangles with a < b itself; the battery checks
+    # those with a > b (the other middle set), and ranks the covering arrows
+    # from their columns, so it runs without the diagram too. Together these
+    # cover every nested chain and pair (homology._check_chains says why)
     needs_diagram = needs_form or needs_centers
     diagram = chain_error = None
     if not needs_diagram:
         diagram, chain_error = _attempt(UctopError, homology.build_center_diagram, d)
     if diagram is not None:
+        chains = homology._covering_triangles(n, ascending=False)
         _, chain_error = _attempt(FunctorialityViolation, homology._check_chains, diagram, chains)
-    # the diagram holds the covering arrows; without it, an empty one
-    # computes each pair on demand
-    arrow = (homology.CenterDiagram(d, {}) if diagram is None else diagram).arrow
     item("projection functoriality over chains", lambda: _outcome(chain_error), needs_diagram)
     item(
         "projections surject onto their targets",
-        lambda: all(rank(arrow(s, sp)) == n - len(sp) for s, sp in pairs),
+        lambda: all(
+            _covering_rank(d, sp, a) == n - len(sp) for _, sp, a in homology._covering_pairs(n)
+        ),
         needs_diagram,
     )
 
@@ -277,6 +267,17 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
             needs_centers,
         )
     return items
+
+
+def _covering_rank(d: RootDatum, sp: tuple[int, ...], a: int) -> int:
+    """Rank of the covering arrow S' - {a} -> S' from its integer rows, with
+    columns labelled by coweight: den at each k outside S' (the identity
+    block) and the numerator of V_S'[k, a] at a (the one column)."""
+    den, columns = homology._coweight_columns(d, sp)
+    column = columns[a]
+    rows = [{k: den, a: column[k]} if k in column else {k: den}
+            for k in range(1, d.rank + 1) if k not in sp]
+    return len(_pivot_rows(rows))
 
 
 def _check_substitution(e_coeffs, p_coeffs, n: int) -> bool:

@@ -11,9 +11,9 @@ the simple roots (the stalk at A lives on the Levi set S = Pi - A):
 
 one chain complex per exterior degree w, with the block of the differential
 from A to A - {a} equal to (-1)^pos(a, A) times the w-th compound of the
-projection arrow. Every stalk is a homology object, so the rows never
-interact and the Betti number in total degree m is the sum over w + p = m of
-the row homology dimensions.
+covering arrow S -> S + {a}. Every stalk is a homology object, so the rows
+never interact and the Betti number in total degree m is the sum over
+w + p = m of the row homology dimensions.
 
 Everything is written in fundamental-coweight coordinates. Over Q the
 cocharacter space of Z(L_S) is span{omega_k^vee : k not in S} for every
@@ -26,7 +26,9 @@ a in S', to column a of V_S' = -A[K', S'] . A[S', S']^(-1), with A the
 Cartan matrix and K' the complement of S', one small solve per S'. Each
 covering arrow S -> S + {a} is the identity plus one column, its compounds
 have closed-form minors, and a covering triangle is an identity between
-columns.
+columns. The diagram is its covering arrows: on the Boolean lattice of proper
+subsets they fix it once every covering triangle composes, so no longer
+arrow is ever built.
 """
 
 from __future__ import annotations
@@ -92,38 +94,27 @@ Column = tuple[int, dict[int, int]]
 
 
 class CenterDiagram(Value):
-    """Projection arrows between Levi-center cocharacter spaces, over S
+    """The covering arrows between Levi-center cocharacter spaces, over S
     properly inside Pi ordered by inclusion, in fundamental-coweight
     coordinates.
 
-    `arrows` holds exactly the covering arrows (S, S + {a}) with S + {a}
-    proper: one per block of the Cech differentials, which read nothing else
-    here. Each is the identity plus one column, kept as (den, column): the
-    projection of omega_a^vee, with `column` mapping each target position r
-    (the r-th coweight outside S + {a}) to its nonzero numerator over den.
-    `arrow(S, S')` returns the arrow of any nested pair of normalized tuples,
-    (S, S) included, as a `RatMatrix` (columns: the coweights outside S,
-    rows: those outside S'), built the first time it is asked for. Arrow
-    composition is exact: arrow(S', S'') . arrow(S, S') == arrow(S, S'').
+    `arrows` maps each covering pair (S, S + {a}) with S + {a} proper to its
+    arrow, and holds nothing else: on the Boolean lattice of proper subsets a
+    diagram is fixed by its covering arrows once every covering triangle
+    composes (`_check_chains` says why), and each arrow is one block of the
+    Cech differentials. It is the identity plus one column, kept as
+    (den, column): the projection of omega_a^vee, with `column` mapping each
+    target position r (the r-th coweight outside S + {a}) to its nonzero
+    numerator over den.
     """
 
-    _fields = ("datum", "arrows")
-    __slots__ = _fields + ("_matrices",)
+    __slots__ = _fields = ("datum", "arrows")
 
     def __init__(
         self, datum: RootDatum, arrows: dict[tuple[tuple[int, ...], tuple[int, ...]], Column]
     ) -> None:
         self.datum = datum
         self.arrows = arrows
-        self._matrices = {}
-
-    def arrow(self, s: tuple[int, ...], sp: tuple[int, ...]) -> RatMatrix:
-        key = (s, sp)
-        if key not in self._matrices:
-            if not set(s) <= set(sp):
-                raise ValueError(f"Levi set {s} is not contained in {sp}")
-            self._matrices[key] = _coweight_arrow(self.datum, s, sp)
-        return self._matrices[key]
 
 
 @memoized
@@ -170,22 +161,6 @@ def _coweight_columns(d: RootDatum, sp: tuple[int, ...]) -> tuple[int, dict[int,
     return den, columns
 
 
-def _coweight_arrow(d: RootDatum, s: tuple[int, ...], sp: tuple[int, ...]) -> RatMatrix:
-    """The projection from the space of S onto that of S' (S inside S') as a
-    matrix: identity on the coweights outside S', and column a of V_S' at
-    each a in S' - S."""
-    source = [k for k in range(1, d.rank + 1) if k not in s]
-    if s == sp:
-        return RatMatrix.identity(len(source))
-    den, columns = _coweight_columns(d, sp)
-    added = [(j, columns[k]) for j, k in enumerate(source) if k in sp]
-    num = []
-    for j, k in enumerate(source):
-        if k not in sp:
-            num.append({j: den, **{i: column[k] for i, column in added if k in column}})
-    return RatMatrix(len(num), len(source), tuple(num), (den,) * len(num))
-
-
 def build_center_diagram(d: RootDatum) -> CenterDiagram:
     """Certify the invariant form, populate the covering arrows, and verify
     functoriality on covering triangles.
@@ -230,16 +205,30 @@ def _covering_triangles(n: int, ascending: bool = True):
 
 def _check_chains(diagram: CenterDiagram, chains) -> None:
     """Raise FunctorialityViolation unless, on every chain s1 <= s2 <= s3,
-    arrow(s2, s3) . arrow(s1, s2) == arrow(s1, s3).
+    the composite projection s1 -> s2 -> s3 equals the direct one s1 -> s3.
 
-    Both sides fix the coweights outside s3 and send omega_a^vee, a in
-    s3 - s2, to column a of V_s3. What is left is a in s2 - s1, where the
-    identity reads, with K3 the complement of s3,
+    Write Q_S for the projection onto the space of S as computed: it fixes
+    omega_k^vee for k outside S and sends omega_a^vee, a in S, to column a
+    of V_S. A chain's identity is Q_s3 . Q_s2 == Q_s3 on the coweights
+    outside s1. Both sides fix the coweights outside s3 and send
+    omega_a^vee, a in s3 - s2, to column a of V_s3. What is left is column a
+    for a in s2 - s1, which reads, with K3 the complement of s3,
 
         V_s3[:, a] == V_s2[K3, a] + sum over b in s3 - s2 of V_s2[b, a] V_s3[:, b].
 
     It does not depend on s1, so each (s2, s3, a) is checked once, in
     integers.
+
+    The covering triangles of both orientations imply every nested chain.
+    For a covering pair (T, T + {c}) and a in T, the identity on
+    (T, T + {c}, a) is that of the covering triangle T - {a} -> T -> T + {c}:
+    ascending when a < c (`build_center_diagram` checks it), descending when
+    a > c (the `check` battery does). So Q_(T + c) . Q_T == Q_(T + c) on
+    every covering pair, and along any covering chain T_0 = s2, ..., T_m = s3,
+    induction on m gives Q_s3 . Q_s2 == Q_s3 . Q_(T_(m-1)) . Q_s2 ==
+    Q_s3 . Q_(T_(m-1)) == Q_s3. Likewise a long arrow is the composite of the covering arrows along
+    such a chain, and composites of surjections are surjective, so the
+    battery ranks the covering arrows only.
     """
     d = diagram.datum
     done = set()

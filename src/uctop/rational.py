@@ -1,4 +1,4 @@
-"""Sparse exact rational matrices: the projection arrows, their exterior
+"""Sparse exact rational matrices: the Killing projections, their exterior
 powers and the Cech differentials, with their rank over Q.
 
 A rational matrix holds sparse integer rows over per-row denominators, always

@@ -472,17 +472,15 @@ def test_check_compares_each_chain_once(capsys, monkeypatch, spec):
     monkeypatch.setattr(homology, "_check_chains", recording)
     code, out, _ = run_cli(capsys, "check", spec)
     assert code == 0 and "PASS projection functoriality over chains" in out
+    # at every rank, both middle sets of every covering triangle: the
+    # diagram's ascending ones and the battery's descending ones
     n = parse_spec(spec).cartan_type.rank
-    proper = all_levi_subsets(n, proper=True)
-    if n <= 4:  # every nested chain of proper subsets
-        want = [c for c in itertools.product(proper, repeat=3) if set(c[0]) <= set(c[1]) <= set(c[2])]
-    else:  # both middle sets of every covering triangle
-        want = [
-            (s, tuple(sorted(s + (a,))), tuple(sorted(s + (a, b))))
-            for s in proper
-            if len(s) + 2 < n
-            for a, b in itertools.permutations(sorted(set(range(1, n + 1)) - set(s)), 2)
-        ]
+    want = [
+        (s, tuple(sorted(s + (a,))), tuple(sorted(s + (a, b))))
+        for s in all_levi_subsets(n, proper=True)
+        if len(s) + 2 < n
+        for a, b in itertools.permutations(sorted(set(range(1, n + 1)) - set(s)), 2)
+    ]
     assert sorted(seen) == sorted(want)
 
 
@@ -621,6 +619,25 @@ def test_check_output_matches_benchmark_golden_bytes(capsys):
         want = golden[f"check {spec}"]
         assert code == want["rc"], spec
         assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"], spec
+
+
+def test_check_on_refused_data_builds_no_rational_matrix(capsys, monkeypatch):
+    # refused data never reach the Cech complex, and the diagram items read
+    # covering columns in integers, so `check` prints its golden bytes
+    # without constructing a single RatMatrix
+    from uctop.rational import RatMatrix
+
+    def refuse(*args):
+        raise AssertionError("check built a RatMatrix on refused data")
+
+    golden = json.loads((ROOT / "bench" / "data" / "golden.json").read_text())
+    monkeypatch.setattr(RatMatrix, "__init__", refuse)
+    for spec in ("A3:sc", "D5:sc"):
+        code, out, err = run_cli(capsys, "check", spec)
+        want = golden[f"check {spec}"]
+        assert (code, err) == (want["rc"], ""), spec
+        assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"], spec
+        assert "(refused at S = " in out, spec
 
 
 # stdout, stderr and exit code of every command, in table and JSON form, on

@@ -82,43 +82,95 @@ def test_betti_table_normalization():
 # diagram structure
 
 
+def covering_matrix(n, s, sp, arrow):
+    """The covering arrow (S, S') = (s, sp), held as (den, column), as a
+    matrix: columns the coweights outside S, rows those outside S'."""
+    den, column = arrow
+    source = [k for k in range(1, n + 1) if k not in s]
+    pos = next(j for j, k in enumerate(source) if k in sp)
+    rows = [{j: den} for j, k in enumerate(source) if k not in sp]
+    for r, v in column.items():
+        rows[r][pos] = v
+    return RatMatrix(len(rows), len(source), tuple(rows), (den,) * len(rows))
+
+
+def composite(diag, s, sp):
+    """The arrow of the nested pair S <= S' as the composite of the diagram's
+    covering arrows, adding the elements of S' - S in ascending order."""
+    n = diag.datum.rank
+    m = RatMatrix.identity(n - len(s))
+    for a in sorted(set(sp) - set(s)):
+        t = tuple(sorted(s + (a,)))
+        m = covering_matrix(n, s, t, diag.arrows[(s, t)]).mul(m)
+        s = t
+    return m
+
+
+def direct_arrow(d, s, sp):
+    """The projection from the space of S onto that of S' (S inside S'),
+    written straight from V_S': identity on the coweights outside S', column
+    a of V_S' at each a in S' - S."""
+    n = d.rank
+    source = [k for k in range(1, n + 1) if k not in s]
+    if s == sp:
+        return RatMatrix.identity(len(source))
+    den, columns = homology._coweight_columns(d, sp)
+    added = [(j, columns[a]) for j, a in enumerate(source) if a in sp]
+    rows = [
+        {j: den, **{i: column[k] for i, column in added if k in column}}
+        for j, k in enumerate(source)
+        if k not in sp
+    ]
+    return RatMatrix(len(rows), len(source), tuple(rows), (den,) * len(rows))
+
+
+def nested_pairs(n):
+    proper = all_levi_subsets(n, proper=True)
+    return [(s, sp) for s in proper for sp in proper if set(s) <= set(sp)]
+
+
 def test_diagram_rank_one_structure():
-    # A1 has one proper Levi set, so no covering arrow
+    # A1 has one proper Levi set, so no covering arrow, and its space is the
+    # one-dimensional Levi center at S = {}
     d = build_datum(ct(("A", 1)), "adjoint")
     diag = build_center_diagram(d)
     assert diag.arrows == {}
-    assert diag.arrow((), ()) == RatMatrix.identity(1)
+    assert center_of_levi(d, ()).dim == 1
+    assert composite(diag, (), ()) == RatMatrix.identity(1)
 
 
 def test_diagram_rank_two_structure():
     d = build_datum(ct(("A", 2)), "adjoint")
     diag = build_center_diagram(d)
     assert list(diag.arrows) == [((), (1,)), ((), (2,))]
-    for s, sp in diag.arrows:
-        assert rank(diag.arrow(s, sp)) == 1
-    assert {s: diag.arrow(s, s) for s in all_levi_subsets(2, proper=True)} == {
-        (): RatMatrix.identity(2),
-        (1,): RatMatrix.identity(1),
-        (2,): RatMatrix.identity(1),
-    }
+    for (s, sp), arrow in diag.arrows.items():
+        m = covering_matrix(2, s, sp, arrow)
+        assert (m.rows, m.cols, rank(m)) == (1, 2, 1)
+    dims = {s: center_of_levi(d, s).dim for s in all_levi_subsets(2, proper=True)}
+    assert dims == {(): 2, (1,): 1, (2,): 1}
 
 
 def test_diagram_functoriality_exact():
+    # every nested chain composes: the covering arrows, composed along either
+    # middle set, and the arrows written straight from V_S agree
     for t, iso in ((ct(("A", 3)), "adjoint"), (ct(("B", 3)), "sc")):
         d = build_datum(t, iso)
         diag = build_center_diagram(d)
-        for s1, s2 in diag.arrows:
-            for s2b, s3 in diag.arrows:
-                if s2b != s2:
-                    continue
-                assert diag.arrow(s2, s3).mul(diag.arrow(s1, s2)) == diag.arrow(s1, s3)
+        pairs = nested_pairs(t.rank)
+        for s1, s2 in pairs:
+            assert composite(diag, s1, s2) == direct_arrow(d, s1, s2), (str(t), s1, s2)
+            for s2b, s3 in pairs:
+                if s2b == s2:
+                    got = composite(diag, s2, s3).mul(composite(diag, s1, s2))
+                    assert got == direct_arrow(d, s1, s3), (str(t), s1, s2, s3)
 
 
 def test_diagram_holds_covering_arrows_only():
     # the arrows are the Killing projections of the lattice's Smith bases,
-    # written in coweights: T_S' . killing_projection(S, S') == arrow(S, S') . T_S,
+    # written in coweights: T_S' . killing_projection(S, S') == A(S, S') . T_S,
     # with T_S = R . B_S on the rows k outside S (R the simple roots in the
-    # lattice basis, B_S the Smith cocharacter basis)
+    # lattice basis, B_S the Smith cocharacter basis) and A(S, S') the
+    # composite of the covering arrows from S to S'
     so8 = IntMatrix.from_rows([[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 1], [0, 0, -1, 1]])
     for t, iso in (
         (ct(("A", 3)), "adjoint"),
@@ -139,16 +191,13 @@ def test_diagram_holds_covering_arrows_only():
             rows = [m.row(k - 1) for k in range(1, n + 1) if k not in s]
             return RatMatrix.from_rows(rows, m.cols)
 
-        proper = all_levi_subsets(n, proper=True)
-        nested = [(s, sp) for s in proper for sp in proper if set(s) <= set(sp)]
+        nested = nested_pairs(n)
         assert set(diag.arrows) == {(s, sp) for s, sp in nested if len(sp) == len(s) + 1}, str(t)
         for s, sp in nested:
             lhs = to_coweights(sp).mul(killing_projection(d, s, sp))
-            assert lhs == diag.arrow(s, sp).mul(to_coweights(s)), (str(t), s, sp)
-            if s == sp:
-                assert diag.arrow(s, s) == RatMatrix.identity(n - len(s)), (str(t), s)
+            assert lhs == composite(diag, s, sp).mul(to_coweights(s)), (str(t), s, sp)
         with pytest.raises(ValueError):
-            diag.arrow((1,), (2,))
+            killing_projection(d, (1,), (2,))
 
 
 def test_closed_form_minors_are_the_compounds_of_the_arrows():
@@ -160,12 +209,54 @@ def test_closed_form_minors_are_the_compounds_of_the_arrows():
             source = [k for k in range(1, n + 1) if k not in s]
             pos = next(j for j, k in enumerate(source) if k in sp)
             p = len(source) - 1
+            m = direct_arrow(d, s, sp)
+            assert covering_matrix(n, s, sp, arrow) == m, (spec, s, sp)
             for w in range(p + 2):
                 rows = [{} for _ in range(math.comb(p, w))]
                 _fill_block(rows, 0, _minor_patterns(p, w)[pos], arrow, 1)
                 dens = (arrow[0],) * len(rows)
                 got = RatMatrix(len(rows), math.comb(p + 1, w), tuple(rows), dens)
-                assert got == compound(diag.arrow(s, sp), w), (spec, s, sp, w)
+                assert got == compound(m, w), (spec, s, sp, w)
+
+
+@pytest.mark.parametrize("spec", ["A3:adjoint", "B3:sc", "C3:adjoint", "A4:sc"])
+def test_covering_triangles_detect_what_every_nested_chain_detects(monkeypatch, spec):
+    # the covering triangles of both orientations imply every nested chain
+    # (see _check_chains), so on data with one entry V_S'[k, a] off by one,
+    # zero entries included, the two sets of chains raise together
+    d = parse_spec(spec).datum()
+    n = d.rank
+    diag = build_center_diagram(d)
+    proper = all_levi_subsets(n, proper=True)
+    every = [(s1, s2, s3) for s1, s3 in nested_pairs(n) for s2 in proper
+             if set(s1) <= set(s2) <= set(s3)]
+    covering = [*homology._covering_triangles(n), *homology._covering_triangles(n, False)]
+    real = homology._coweight_columns
+
+    def raises(chains):
+        try:
+            homology._check_chains(diag, chains)
+        except FunctorialityViolation:
+            return True
+        return False
+
+    assert not raises(every)
+    outcomes = []
+    for sp in proper[1:]:
+        for a in sp:
+            for k in range(1, n + 1):
+                if k not in sp:
+                    def rigged(d, target, sp=sp, a=a, k=k):
+                        den, columns = real(d, target)
+                        if target != sp:
+                            return den, columns
+                        column = {**columns[a], k: columns[a].get(k, 0) + 1}
+                        return den, {**columns, a: {r: v for r, v in column.items() if v}}
+
+                    monkeypatch.setattr(homology, "_coweight_columns", rigged)
+                    outcomes.append(raises(every))
+                    assert raises(covering) == outcomes[-1], (spec, sp, a, k)
+    assert outcomes and any(outcomes)
 
 
 @pytest.mark.parametrize("spec", ["D6:adjoint", "A4:sc"])

@@ -74,7 +74,7 @@ VALUES = {
     GroupSpec: (lambda: parse_spec("A1xA2:sc"), ("raw", "cartan_type", "isogeny"), True),
 }
 
-PRIVATE = {RootDatum: "_memo", CenterDiagram: "_matrices", GroupSpec: "_datum"}
+PRIVATE = {RootDatum: "_memo", GroupSpec: "_datum"}
 
 
 @pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
@@ -112,10 +112,6 @@ def test_private_caches_stay_out_of_equality_and_repr():
     g1, g2 = parse_spec("A2:adjoint"), parse_spec("A2:adjoint")
     g1.datum()
     assert g1 == g2 and hash(g1) == hash(g2) and "_datum" not in repr(g1)
-    c1, c2 = build_center_diagram(_datum()), build_center_diagram(_datum())
-    c1.arrow((), (1, 2))  # builds and keeps one arrow matrix, in c1 only
-    assert c1._matrices and not c2._matrices
-    assert c1 == c2 and "_matrices" not in repr(c1)
 
 
 def test_equality_needs_the_same_class():
