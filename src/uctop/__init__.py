@@ -27,7 +27,6 @@ from .rootdata import (
     center_of_levi,
     center_order,
     invariant_form,
-    killing_projection,
     levi_root_matrix,
     proper_pi0_witness,
     weyl_order,
@@ -35,9 +34,9 @@ from .rootdata import (
 
 __version__ = "0.1.0"
 
-# The homology, the assembly, the count polynomials and the sparse rational
-# matrices load on first use, so that a command which never reads them does
-# not compile them (PEP 562).
+# The homology, the assembly, the count polynomials, the sparse rational
+# matrices and the lattice-basis projections load on first use, so that a
+# command which never reads them does not compile them (PEP 562).
 _LAZY = {
     "assembly": ("AssemblyReport", "intersection_number", "universal_centralizer_homology"),
     "counting": (
@@ -57,7 +56,8 @@ _LAZY = {
         "build_center_diagram",
         "total_euler",
     ),
-    "rational": ("RatMatrix", "compound", "rank"),
+    "projections": ("compound", "killing_projection"),
+    "rational": ("RatMatrix", "rank"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 

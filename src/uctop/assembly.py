@@ -11,8 +11,6 @@ leaves |Z| - 1 independent cycles in degree 2n.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._value import Frozen, setfield
 from .counting import poincare_from_purity
 from .errors import UctopError
@@ -46,7 +44,7 @@ class AssemblyReport(Frozen):
         betti: BettiTable,
         cells_attached: int,
         boundary_rank: int,
-        intersection_number: Fraction,
+        intersection_number: int | Fraction,
         purity_match: bool,
     ) -> None:
         setfield(self, "betti", betti)
@@ -56,9 +54,21 @@ class AssemblyReport(Frozen):
         setfield(self, "purity_match", purity_match)
 
 
-def intersection_number(d: RootDatum) -> Fraction:
-    """Transverse intersection count of a cell boundary with a generic fiber."""
-    return Fraction(weyl_order(d.cartan_type), center_order(d))
+def intersection_number(d: RootDatum) -> int | Fraction:
+    """Transverse intersection count |W| / |Z| of a cell boundary with a
+    generic fiber.
+
+    It is the int |W| // |Z| when |Z| divides |W|, as it does for every
+    Cartan type (|Z| divides |P/Q|, which divides |W| factor by factor), and
+    a `fractions.Fraction` otherwise. Both print and compare as the same
+    rational, so no command needs `fractions`.
+    """
+    w, z = weyl_order(d.cartan_type), center_order(d)
+    if w % z == 0:
+        return w // z
+    from fractions import Fraction
+
+    return Fraction(w, z)
 
 
 def universal_centralizer_homology(d: RootDatum) -> AssemblyReport:

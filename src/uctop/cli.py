@@ -13,9 +13,9 @@ nontrivial component group).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from ._value import Frozen, setfield
 from .errors import GroupSpecError, NontrivialPi0, UctopError, format_levi
@@ -28,6 +28,7 @@ from .rootdata import (
     center_of_levi,
     center_order,
     weyl_order,
+    witness_gate,
 )
 
 __all__ = ["GroupSpec", "parse_spec", "main", "entry"]
@@ -231,6 +232,7 @@ def _cmd_poincare(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]
 
 
 def _cmd_cgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
+    witness_gate(d)  # a refused datum loads no homology
     from .homology import boundary_homology
 
     betti = list(boundary_homology(d).betti)
@@ -238,6 +240,7 @@ def _cmd_cgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
 
 
 def _cmd_jgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
+    witness_gate(d)
     from .assembly import universal_centralizer_homology
 
     report = universal_centralizer_homology(d)
@@ -293,18 +296,23 @@ COMMANDS = {
 }
 
 
+# the rank bound when no --max-rank is given
+_MAX_RANK = 8
+
+
 class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1, not argparse's default 2
-        raise _UsageError(message)
-
-
-def _build_parser(names=COMMANDS) -> _Parser:
+def _build_parser(names=COMMANDS):
     """The parser with a subcommand for each of `names`; each subcommand's
     parser is the same whichever others are built beside it."""
+    import argparse  # only help, usage errors and the rarer forms reach it
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # exit 1, not argparse's default 2
+            raise _UsageError(message)
+
     # no option prefixes: "--form" is not "--format", whatever options exist
     parser = _Parser(prog="uctop", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -320,8 +328,8 @@ def _build_parser(names=COMMANDS) -> _Parser:
         p.add_argument(
             "--max-rank",
             type=_parse_max_rank_arg,
-            default=8,
-            help="refuse total ranks above this bound (default: 8)",
+            default=_MAX_RANK,
+            help=f"refuse total ranks above this bound (default: {_MAX_RANK})",
         )
         if name == "pi0":
             p.add_argument(
@@ -344,36 +352,79 @@ def _decimal(text: str) -> int | None:
         return None
 
 
-def _parse_levi_arg(text: str) -> tuple[int, ...]:
+def _levi(text: str) -> tuple[int, ...] | None:
+    """A `--levi` value as a sorted tuple without repeats, or None."""
     text = text.strip()
     if not text:
         return ()
     items = [_decimal(x) for x in text.split(",")]
-    if None in items:
+    return None if None in items else tuple(sorted(set(items)))
+
+
+def _parse_levi_arg(text: str) -> tuple[int, ...]:
+    if (value := _levi(text)) is None:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"--levi expects a comma list of integers, got {text!r}")
-    return tuple(sorted(set(items)))
+    return value
 
 
 def _parse_max_rank_arg(text: str) -> int:
     if (value := _decimal(text)) is None:  # argparse's own message for type=int
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return value
 
 
+def _well_formed(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse makes of `argv` when it is well formed, or None.
+
+    Well formed: a command, then a spec that does not start with '-', then
+    options written --name=value, each at most once, with a value the
+    converters accept: --format=table|json, --max-rank=<decimal> and, for
+    pi0 only, --levi=<comma list>. argparse parses these to the same
+    values, so it runs only for everything else (help, usage errors, values
+    after a space, repeated options, options before the spec, '--').
+    """
+    if len(argv) < 2 or argv[0] not in COMMANDS or argv[1].startswith("-"):
+        return None
+    args = SimpleNamespace(
+        command=argv[0], spec=argv[1], format="table", max_rank=_MAX_RANK, levi=None
+    )
+    seen = set()
+    for item in argv[2:]:
+        name, eq, text = item.partition("=")
+        if not eq or name in seen:
+            return None
+        seen.add(name)
+        if name == "--format" and text in ("table", "json"):
+            args.format = text
+        elif name == "--max-rank" and (value := _decimal(text)) is not None:
+            args.max_rank = value
+        elif name == "--levi" and argv[0] == "pi0" and (value := _levi(text)) is not None:
+            args.levi = value
+        else:
+            return None
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a leading command name needs only its own subparser; anything else
-    # (no arguments, --help, an unknown command, an option first) gets the
-    # full table, so every usage and help message reads the same
-    parser = _build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.command is None:
-        parser.print_help()
-        return 1
+    args = _well_formed(argv)
+    if args is None:
+        # a leading command name needs only its own subparser; anything else
+        # (no arguments, --help, an unknown command, an option first) gets the
+        # full table, so every usage and help message reads the same
+        parser = _build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
+        try:
+            args = parser.parse_args(argv)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if args.command is None:
+            parser.print_help()
+            return 1
     handler = COMMANDS[args.command][0]
     try:
         spec = parse_spec(args.spec)

@@ -52,8 +52,9 @@ class QPolynomial(Frozen):
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    # `x` is an int or a fractions.Fraction; annotations are not evaluated,
-    # so the count side never imports `fractions`
+    # `x` is an int or a fractions.Fraction (the tests pass one); every
+    # command passes an int, and annotations are not evaluated, so no
+    # command imports `fractions`
     def evaluate(self, x: int | Fraction):
         acc = 0
         for c in reversed(self.coeffs):

@@ -23,10 +23,12 @@ omega_k^vee with k outside S' and kills the coroots alpha_i^vee, i in S',
 which the invariant form makes orthogonal to every omega_k^vee with k != i
 (`_check_form` certifies that once per datum). So it sends omega_a^vee,
 a in S', to column a of V_S' = -A[K', S'] . A[S', S']^(-1), with A the
-Cartan matrix and K' the complement of S', one small solve per S'. Each
-covering arrow S -> S + {a} is the identity plus one column, its compounds
-have closed-form minors, and a covering triangle is an identity between
-columns. The diagram is its covering arrows: on the Boolean lattice of proper
+Cartan matrix and K' the complement of S'. That column depends only on the
+connected component of S' in the Dynkin diagram that holds a, so one small
+solve per connected component gives every V_S'. Each covering arrow
+S -> S + {a} is the identity plus one column, its compounds have
+closed-form minors, and a covering triangle is an identity between columns.
+The diagram is its covering arrows: on the Boolean lattice of proper
 subsets they fix it once every covering triangle composes, so no longer
 arrow is ever built.
 """
@@ -37,7 +39,7 @@ import itertools
 import math
 
 from ._value import Frozen, Value, setfield
-from .errors import FunctorialityViolation, NontrivialPi0, UctopError, format_levi
+from .errors import FunctorialityViolation, UctopError, format_levi
 from .matrices import IntMatrix
 from .rational import RatMatrix, _pivot_rows, _subset_index
 from .rootdata import (
@@ -47,7 +49,7 @@ from .rootdata import (
     center_of_levi,
     invariant_form,
     memoized,
-    proper_pi0_witness,
+    witness_gate,
 )
 
 __all__ = [
@@ -148,16 +150,58 @@ def _coweight_columns(d: RootDatum, sp: tuple[int, ...]) -> tuple[int, dict[int,
     Column a is the projection of omega_a^vee onto the cocharacter space of
     Z(L_S'), written in the coweights omega_k^vee, k in K': the projection
     fixes those and kills the coroots alpha_i^vee, i in S', and
-    alpha_i^vee = sum over k of A[k, i] omega_k^vee. It is one fraction-free
-    solve of A[S', S']^T X = -A[K', S']^T, whose solution is V_S' transposed.
+    alpha_i^vee = sum over k of A[k, i] omega_k^vee.
+
+    A[S', S'] is block diagonal over the connected components C of S' in the
+    Dynkin diagram, and A[k, i] with i in C is nonzero only for k in C or a
+    neighbour of C, and every neighbour lies outside S'. So column a, for a
+    in C, is column a of V_C: it depends on C alone, and one solve per
+    component (`_block_columns`) serves every S' that has it as a component.
+    den is the lcm of the components' denominators, each in lowest terms, so
+    it is the least common denominator of V_S'.
     """
+    parts = [_block_columns(d, c) for c in _components(_cartan_rows(d), sp)]
+    if len(parts) == 1:
+        return parts[0]
+    den = math.lcm(*(den_c for den_c, _ in parts))
+    merged = {}
+    for den_c, columns in parts:
+        f = den // den_c
+        merged.update((a, {k: f * v for k, v in col.items()}) for a, col in columns.items())
+    return den, {a: merged[a] for a in sp}
+
+
+def _components(a: list[list[int]], sp: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The connected components of S' in the Dynkin diagram of the Cartan
+    rows `a`, each a sorted tuple, in the order of their least elements."""
+    parts, seen = [], set()
+    for i in sp:
+        if i not in seen:
+            seen.add(i)
+            part, stack = [], [i]
+            while stack:
+                j = stack.pop()
+                part.append(j)
+                for k in sp:
+                    if k not in seen and a[j - 1][k - 1]:
+                        seen.add(k)
+                        stack.append(k)
+            parts.append(tuple(sorted(part)))
+    return parts
+
+
+@memoized
+def _block_columns(d: RootDatum, c: tuple[int, ...]) -> tuple[int, dict[int, dict[int, int]]]:
+    """`_coweight_columns` of a connected nonempty proper C: one fraction-free
+    solve of A[C, C]^T X = -A[K, C]^T, K the complement of C, whose solution
+    is V_C transposed."""
     a = _cartan_rows(d)
-    outside = [k for k in range(1, d.rank + 1) if k not in sp]
-    size, width = len(sp), len(outside)
-    block = IntMatrix(size, size, tuple(a[j - 1][i - 1] for i in sp for j in sp))
-    rhs = IntMatrix(size, width, tuple(-a[k - 1][i - 1] for i in sp for k in outside))
+    outside = [k for k in range(1, d.rank + 1) if k not in c]
+    size, width = len(c), len(outside)
+    block = IntMatrix(size, size, tuple(a[j - 1][i - 1] for i in c for j in c))
+    rhs = IntMatrix(size, width, tuple(-a[k - 1][i - 1] for i in c for k in outside))
     x, den, _ = block.solve(rhs)
-    columns = {i: {k: v for k, v in zip(outside, x.row(r)) if v} for r, i in enumerate(sp)}
+    columns = {i: {k: v for k, v in zip(outside, x.row(r)) if v} for r, i in enumerate(c)}
     return den, columns
 
 
@@ -439,19 +483,12 @@ def boundary_homology(d: RootDatum) -> BettiTable:
     identification used by this computation fails there.
 
     The witness comes from X/Q and the component groups from Levi SNFs, and
-    the two routes are compared: at the witness on refusal, and at every
-    proper S otherwise. A disagreement raises UctopError. The diagram itself
+    the two routes are compared: at the witness on refusal (`witness_gate`,
+    which the CLI calls before it loads this module), and at every proper S
+    otherwise. A disagreement raises UctopError. The diagram itself
     reads only the Cartan matrix and the invariant form.
     """
-    witness = proper_pi0_witness(d)
-    if witness is not None:
-        factors = center_of_levi(d, witness).pi0.factors
-        if not factors:
-            raise UctopError(
-                f"X/Q names S = {format_levi(witness)} as a witness, but its "
-                "Levi center has trivial pi0"
-            )
-        raise NontrivialPi0(witness, factors)
+    witness_gate(d)
     for s in all_levi_subsets(d.rank, proper=True):
         if not center_of_levi(d, s).pi0.is_trivial():
             raise UctopError(

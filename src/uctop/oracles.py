@@ -36,14 +36,19 @@ def leibniz_det(rows):
 def minor_gcds(rows, cols=None, size=None):
     """{T: gcd of every |T| x |T| minor on the rows T} for each row set T (a
     sorted index tuple) of at most `size` rows (default: all of them); the
-    gcd is 0 when there is no such minor or they all vanish."""
+    gcd is 0 when there is no such minor or they all vanish.
+
+    A column set that holds a column zero on every row of T gives a zero
+    minor, which cannot lower a gcd, so only the other column sets are
+    expanded."""
     nr = len(rows)
     nc = len(rows[0]) if rows else (cols or 0)
     table = {}
     for k in range(min(nr, nr if size is None else size) + 1):
         for ridx in itertools.combinations(range(nr), k):
+            live = [j for j in range(nc) if any(rows[i][j] for i in ridx)]
             g = 0
-            for cidx in itertools.combinations(range(nc), k):
+            for cidx in itertools.combinations(live, k):
                 sub = [[rows[i][j] for j in cidx] for i in ridx]
                 g = math.gcd(g, leibniz_det(sub))
                 if g == 1:

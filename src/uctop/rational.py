@@ -1,24 +1,25 @@
-"""Sparse exact rational matrices: the Killing projections, their exterior
-powers and the Cech differentials, with their rank over Q.
+"""Sparse exact rational matrices: the Cech differentials, with their rank
+over Q.
 
 A rational matrix holds sparse integer rows over per-row denominators, always
 in lowest terms. Only the homology path and `check` use these, so a command
-that reads no homology loads neither this module nor `fractions`. Matrices are
-immutable values, so everything here is safe to use concurrently.
+that reads no homology does not load this module. No command loads
+`fractions` either: only `from_rows` and the entry readers (`row`, `entries`,
+`to_lists`), which the tests and the benchmark ladder call, import it.
+Matrices are immutable values, so everything here is safe to use
+concurrently.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 
 from ._value import Frozen, setfield
 from .matrices import IntMatrix, _width
 
-__all__ = ["RatMatrix", "rank", "compound", "exterior_powers"]
+__all__ = ["RatMatrix", "rank"]
 
 
 class RatMatrix(Frozen):
@@ -64,6 +65,8 @@ class RatMatrix(Frozen):
     def from_rows(
         cls, rows: Sequence[Sequence[Fraction | int]], cols: int | None = None
     ) -> RatMatrix:
+        from fractions import Fraction
+
         rows = [[Fraction(e) for e in r] for r in rows]
         cols = _width(rows, cols)
         num, den = [], []
@@ -88,6 +91,8 @@ class RatMatrix(Frozen):
         return tuple(e for i in range(self.rows) for e in self.row(i))
 
     def row(self, i: int) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         out = [Fraction(0)] * self.cols
         d = self.den[i]
         for j, v in self.num[i].items():
@@ -169,56 +174,6 @@ def _pivot_rows(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def compound(m: RatMatrix, k: int) -> RatMatrix:
-    """k-th compound matrix: the exterior power on lexicographic subset bases.
-
-    Entry at (row-subset I, column-subset J) is the minor det(m[I, J]);
-    subsets of size k are ordered lexicographically. k = 0 gives the 1x1
-    identity; k exceeding a dimension gives an empty matrix.
-    """
-    if k < 0:
-        raise ValueError("exterior degree must be nonnegative")
-    den, minors = next(itertools.islice(exterior_powers(m), k, None))
-    row_index = _subset_index(m.rows, k)
-    col_index = _subset_index(m.cols, k)
-    num: list[dict[int, int]] = [{} for _ in row_index]
-    for (ri, ci), v in minors.items():
-        num[row_index[ri]][col_index[ci]] = v
-    return RatMatrix(len(num), len(col_index), tuple(num), (den,) * len(num))
-
-
 def _subset_index(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Lexicographic position of each k-subset of range(n)."""
     return {sub: i for i, sub in enumerate(itertools.combinations(range(n), k))}
-
-
-Minors = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
-
-
-def exterior_powers(m: RatMatrix) -> Iterator[tuple[int, Minors]]:
-    """All minors of m in integers, one size k = 0, 1, 2, ... per item.
-
-    With L the lcm of the row denominators of m, item k is (L^k, minors), where
-    `minors` maps each pair (I, J) of sorted row and column index tuples of
-    size k whose minor is nonzero to L^k * det(m[I, J]), an integer. Each size
-    is built from the one before by Laplace expansion along the first row of
-    I, so one pass per size computes every minor of that size. Past the
-    smaller dimension the minors are empty; the iterator never ends.
-    """
-    lcm = math.lcm(*m.den)
-    a = [{j: v * (lcm // d) for j, v in row.items()} for row, d in zip(m.num, m.den)]
-    den = 1
-    level: Minors = {((), ()): 1}
-    while True:
-        yield den, level
-        nxt: Minors = {}
-        for (ri, ci), v in level.items():
-            for i in range(ri[0] if ri else m.rows):
-                for j, e in a[i].items():
-                    pos = bisect.bisect_left(ci, j)
-                    if pos < len(ci) and ci[pos] == j:
-                        continue
-                    key = ((i,) + ri, ci[:pos] + (j,) + ci[pos:])
-                    nxt[key] = nxt.get(key, 0) + (-e * v if pos % 2 else e * v)
-        level = {key: v for key, v in nxt.items() if v}
-        den *= lcm

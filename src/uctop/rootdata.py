@@ -1,4 +1,4 @@
-"""Root systems, isogeny lattices, Levi centers and Killing-orthogonal projections.
+"""Root systems, isogeny lattices, Levi centers and the refusal witness.
 
 Conventions, fixed once for the whole library:
 
@@ -26,11 +26,8 @@ import math
 from collections.abc import Iterable
 
 from ._value import Frozen, setfield
-from .errors import UctopError
+from .errors import NontrivialPi0, UctopError, format_levi
 from .matrices import IntMatrix, InvariantFactors, snf
-
-# `RatMatrix` (uctop.rational) appears here in annotations only: the module is
-# imported where an arrow is built, so the count side never loads it
 
 __all__ = [
     "CartanType",
@@ -41,10 +38,10 @@ __all__ = [
     "center_of_levi",
     "center_order",
     "invariant_form",
-    "killing_projection",
     "weyl_order",
     "levi_root_matrix",
     "proper_pi0_witness",
+    "witness_gate",
     "QuotientSupports",
     "quotient_supports",
     "all_levi_subsets",
@@ -358,59 +355,6 @@ def _block_symmetrizer(a: list[list[int]], off: int, rk: int) -> list[int]:
     return [v // g for v in ds]
 
 
-@memoized
-def _dual_gram(d: RootDatum) -> IntMatrix:
-    """Gram matrix rewritten in the basis dual to the char-lattice rows.
-
-    Scaled by a positive integer to clear its denominators; orthogonal
-    projections do not see the scale.
-    """
-    lat_t = d.char_lattice.transpose()
-    y, _, _ = lat_t.solve(invariant_form(d))  # L^-T G
-    m, _, _ = lat_t.solve(y.transpose())  # L^-T G L^-1, as G is symmetric
-    return m
-
-
-@memoized
-def _projector(d: RootDatum, sp: tuple[int, ...]) -> tuple[IntMatrix, int]:
-    """Orthogonal projection onto the cocharacter space of Z(L_{S'}).
-
-    Returns (N, den) with N / den = (B'^T G B')^(-1) B'^T G, where B' is the
-    cached cocharacter basis of S' and G the dual Gram matrix: the map from
-    cocharacter coordinates to coordinates in B'. It is one integer solve,
-    and every arrow into S' is this one matrix times an integer basis.
-    """
-    bp = _center_of_levi_cached(d, sp).cochar_basis
-    bp_t_g = bp.transpose().mul(_dual_gram(d))
-    num, den, _ = bp_t_g.mul(bp).solve(bp_t_g)
-    return num, den
-
-
-def killing_projection(
-    d: RootDatum, levi: Iterable[int], levi_prime: Iterable[int]
-) -> RatMatrix:
-    """Matrix of the orthogonal projection between Levi-center cocharacter spaces.
-
-    For S contained in S', the cocharacter space of Z(L_{S'}) sits inside that
-    of Z(L_S); this returns the orthogonal projection of the larger space onto
-    the smaller one (with respect to the invariant form), written in the two
-    cached cocharacter bases. Shape: (n - |S'|) x (n - |S|).
-    """
-    s = _normalize_levi(d, levi)
-    sp = _normalize_levi(d, levi_prime)
-    if not set(s) <= set(sp):
-        raise ValueError(f"Levi set {s} is not contained in {sp}")
-    return _killing_projection(d, s, sp)
-
-
-def _killing_projection(d: RootDatum, s: tuple[int, ...], sp: tuple[int, ...]) -> RatMatrix:
-    """`killing_projection` on normalized tuples with S inside S'."""
-    from .rational import RatMatrix  # loaded only where arrows are built
-
-    num, den = _projector(d, sp)
-    return RatMatrix.from_int(num.mul(_center_of_levi_cached(d, s).cochar_basis), den)
-
-
 def all_levi_subsets(n: int, proper: bool = False) -> list[tuple[int, ...]]:
     """All subsets of {1..n} ordered by (size, lex); `proper` drops {1..n} itself."""
     kmax = n - 1 if proper else n
@@ -505,3 +449,22 @@ def proper_pi0_witness(d: RootDatum) -> tuple[int, ...] | None:
     equality only for S = T.
     """
     return quotient_supports(d).witness
+
+
+def witness_gate(d: RootDatum) -> None:
+    """Raise NontrivialPi0 when some proper Levi center is disconnected.
+
+    The witness comes from X/Q (`proper_pi0_witness`) and its component
+    group from its Levi SNF; UctopError is raised when the two routes
+    disagree there. It reads no homology, so a refused request never loads
+    that code.
+    """
+    witness = proper_pi0_witness(d)
+    if witness is not None:
+        factors = center_of_levi(d, witness).pi0.factors
+        if not factors:
+            raise UctopError(
+                f"X/Q names S = {format_levi(witness)} as a witness, but its "
+                "Levi center has trivial pi0"
+            )
+        raise NontrivialPi0(witness, factors)

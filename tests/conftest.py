@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from uctop import rational, rootdata
+from uctop import projections, rootdata
 from uctop.matrices import IntMatrix
 
 
@@ -18,17 +18,14 @@ def cartan_solves(monkeypatch):
     and record the matrix of every `IntMatrix.solve`.
 
     Returns a function of a datum d: the pair (the matrices solved that are
-    smaller than n x n, A[S', S']^T for each nonempty proper S'), each a
-    sorted list of entry tuples, so that one solve per Cartan submatrix
-    makes the two equal. The count side of a datum that is not adjoint
-    solves n x n matrices of its own, which the first list leaves out.
+    smaller than n x n, A[C, C]^T for each nonempty proper C that is
+    connected in the Dynkin diagram), each a sorted list of entry tuples,
+    so that one solve per connected Cartan block makes the two equal. The
+    count side of a datum that is not adjoint solves n x n matrices of its
+    own, which the first list leaves out.
     """
-    for module, name in (
-        (rootdata, "_killing_projection"),
-        (rootdata, "_projector"),
-        (rational, "exterior_powers"),
-    ):
-        monkeypatch.setattr(module, name, _refuse)
+    for name in ("_killing_projection", "_projector", "exterior_powers"):
+        monkeypatch.setattr(projections, name, _refuse)
     solved = []
     real = IntMatrix.solve
 
@@ -44,8 +41,21 @@ def cartan_solves(monkeypatch):
         want = [
             IntMatrix.from_rows([[a[j - 1][i - 1] for j in s] for i in s]).entries
             for s in rootdata.all_levi_subsets(n, proper=True)
-            if s
+            if s and _connected(a, s)
         ]
         return sorted(m.entries for m in solved if m.rows < n), sorted(want)
 
     return blocks
+
+
+def _connected(a, s) -> bool:
+    """Whether the nodes s span a connected subgraph of the Dynkin diagram
+    with Cartan rows a (1-based labels)."""
+    reached, frontier = {s[0]}, [s[0]]
+    while frontier:
+        i = frontier.pop()
+        for j in s:
+            if j not in reached and a[i - 1][j - 1]:
+                reached.add(j)
+                frontier.append(j)
+    return len(reached) == len(s)

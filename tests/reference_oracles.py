@@ -10,6 +10,7 @@ projections. The module imports only the standard library and
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,6 +20,21 @@ from uctop.oracles import leibniz_det, minor_gcds, subset_divisor_data
 def determinantal_divisor_data(rows, cols=None):
     """(nontrivial invariant factors, rank) from gcds of all k x k minors."""
     return subset_divisor_data(minor_gcds(rows, cols), tuple(range(len(rows))))
+
+
+def unrestricted_minor_gcds(rows, cols=None, size=None):
+    """`minor_gcds` as a Leibniz sum over every column set, zero columns
+    included: the reference its skipping of zero minors is tested against."""
+    nr = len(rows)
+    nc = len(rows[0]) if rows else (cols or 0)
+    table = {}
+    for k in range(min(nr, nr if size is None else size) + 1):
+        for ridx in itertools.combinations(range(nr), k):
+            g = 0
+            for cidx in itertools.combinations(range(nc), k):
+                g = math.gcd(g, leibniz_det([[rows[i][j] for j in cidx] for i in ridx]))
+            table[ridx] = g
+    return table
 
 
 def _adjugate(rows):

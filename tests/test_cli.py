@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uctop import rootdata
+from uctop import cli, rootdata
 from uctop.cli import GroupSpec, main, parse_spec
 from uctop.errors import FunctorialityViolation, GroupSpecError
 from uctop.matrices import IntMatrix
@@ -210,6 +212,71 @@ def test_usage_errors_exit_1(capsys):
         assert f"argument --max-rank: invalid int value: {text!r}" in err, text
     padded = run_cli(capsys, "info", "A9:sc", "--max-rank= 9 ")  # int() strips it too
     assert padded == run_cli(capsys, "info", "A9:sc", "--max-rank=9") and padded[0] == 0
+
+
+_RANK_TEXTS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["", " 9 ", "09", "+3", "-3", "1_0", "\u0663", "=9", "x"]),
+)
+_LEVI_TEXTS = st.one_of(
+    st.lists(st.integers(0, 9), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["", " ", " 2 , 1 ", "1,,2", "+1", "\u0663", "a"]),
+)
+_WELL_FORMED_OPTIONS = st.one_of(
+    st.sampled_from(["--format=table", "--format=json"]),
+    st.integers(0, 12).map(lambda k: f"--max-rank={k}"),
+    st.lists(st.integers(1, 9), max_size=3).map(lambda xs: "--levi=" + ",".join(map(str, xs))),
+)
+_NEAR_MISSES = st.one_of(
+    st.sampled_from(["--format=JSON", "--format=", "--format", "json", "--max-rank", "9",
+                     "--levi", "--", "-h", "--help", "-x", "A1:sc", "--form=json"]),
+    _RANK_TEXTS.map(lambda t: "--max-rank=" + t),
+    _LEVI_TEXTS.map(lambda t: "--levi=" + t),
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, whether the grammar makes it well formed): a command, a spec and
+    options, or a near miss of that grammar."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "pi0", "pi0"]))  # pi0 has the most options
+    spec = draw(st.sampled_from(["A2:sc", "d4:adjoint", "", "A1 :sc", "x=y", "A1:sc --"]))
+    if draw(st.booleans()):
+        options = draw(st.lists(_WELL_FORMED_OPTIONS, max_size=3))
+        names = [o.partition("=")[0] for o in options]
+        well_formed = len(set(names)) == len(names) and (command == "pi0" or "--levi" not in names)
+        return [command, spec, *options], well_formed
+    items = draw(st.lists(_WELL_FORMED_OPTIONS, max_size=2))
+    items.insert(draw(st.integers(0, len(items))), draw(_NEAR_MISSES))
+    spec = draw(st.sampled_from([spec, "-h", "--", "-1", "--levi=1"]))
+    argv = [command, spec, *items]
+    change = draw(st.sampled_from(["none", "none", "swap", "cut"]))
+    if change == "swap":  # an option before the spec
+        argv[1:3] = argv[2], argv[1]
+    elif change == "cut":
+        argv = argv[: draw(st.integers(0, len(argv)))]
+    return argv, None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_command_lines())
+def test_fast_path_agrees_with_argparse(case):
+    # a command line the fast path accepts parses to the same five values
+    # under argparse; it declines the rest, which argparse then handles
+    argv, well_formed = case
+    fast = cli._well_formed(argv)
+    if well_formed is not None:
+        assert (fast is not None) == well_formed, argv
+    parser = cli._build_parser(argv[:1] if argv and argv[0] in cli.COMMANDS else cli.COMMANDS)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):  # -h prints the help
+            parsed = parser.parse_args(argv)
+    except (cli._UsageError, SystemExit):
+        parsed = None
+    if fast is not None:
+        assert parsed is not None, argv
+        names = ("command", "spec", "format", "max_rank", "levi")
+        assert vars(fast) == {k: getattr(parsed, k, None) for k in names}, argv
 
 
 def test_exit_code_partition_over_corpus(capsys):
@@ -437,7 +504,7 @@ def test_max_rank_override(capsys):
 
 def test_rank_gate_comes_before_any_n_by_n_work(capsys, monkeypatch):
     import uctop.cli as cli
-    from uctop import rootdata
+    from uctop import cli, rootdata
 
     def refuse(*args):
         raise AssertionError("built an n x n matrix before the rank gate")
@@ -528,8 +595,8 @@ def test_failed_battery_chains_leave_the_diagram_to_later_stages(
 @pytest.mark.parametrize("spec", ["A4:sc", "A5:adjoint"])
 def test_check_solves_each_cartan_submatrix_once(capsys, cartan_solves, spec):
     # the diagram and the battery read the same coweight columns: no
-    # lattice-basis projection, no Laplace minors, one solve per nonempty
-    # proper S'
+    # lattice-basis projection, no Laplace minors, one solve per connected
+    # nonempty proper C of the Dynkin diagram
     code, out, _ = run_cli(capsys, "check", spec)
     assert code == 0 and "0 failed" in out
     solved, blocks = cartan_solves(parse_spec(spec).datum())
@@ -701,9 +768,16 @@ def test_oracles_stay_independent_of_the_library():
 # main's output, then "#", whether json is loaded after main, and the
 # modules that importing the CLI and running main added
 _IMPORT_PROBE = (
-    "import sys; pre = set(sys.modules); from uctop.cli import main; "
-    "rc = main(sys.argv[1:]); new = set(sys.modules) - pre; "
-    "print('#', 'json' in sys.modules, *sorted(new)); sys.exit(rc)"
+    "import sys\n"
+    "pre = set(sys.modules)\n"
+    "from uctop.cli import main\n"
+    "try:\n"
+    "    rc = main(sys.argv[1:])\n"
+    "except SystemExit as exc:  # --help exits from inside argparse\n"
+    "    rc = exc.code\n"
+    "new = set(sys.modules) - pre\n"
+    "print('#', 'json' in sys.modules, *sorted(new))\n"
+    "sys.exit(rc)\n"
 )
 
 
@@ -751,11 +825,10 @@ def test_cli_import_stays_light():
     code, out, _, new = _import_probe("count", "A3:sc")
     assert code == 0 and out == "q^6 + q^4 + 2q^3\n"
     assert "uctop.counting" in new and not new & unread
-    # nor does any count-side command load the sparse rational matrices or
-    # `fractions`, which the homology commands do load
-    rational = {"uctop.rational", "fractions"}
+    # nor does any count-side command load the sparse rational matrices,
+    # which the homology commands do load
     _, _, _, new = _import_probe("jgbetti", "A1:adjoint")
-    assert rational <= new
+    assert "uctop.rational" in new and "uctop.projections" not in new
     for argv in (
         ("info", "A1:adjoint"),
         ("count", "A3:sc"),
@@ -764,16 +837,40 @@ def test_cli_import_stays_light():
         ("pi0", "A3:sc"),
     ):
         code, _, _, new = _import_probe(*argv)
-        assert code == 0 and not new & rational, argv
+        assert code == 0 and "uctop.rational" not in new, argv
+    # a well-formed command line runs no argparse (nor gettext and locale
+    # behind it), and no command loads `fractions` (nor decimal behind it)
+    unused = {"argparse", "gettext", "locale", "fractions", "decimal"}
+    for argv in (
+        ("info", "A1:adjoint"),
+        ("count", "A3:sc", "--format=json"),
+        ("pi0", "A3:sc", "--levi=1,3", "--max-rank=3"),
+        ("cgbetti", "D4:adjoint"),
+        ("jgbetti", "D4:adjoint", "--format=json", "--max-rank=9"),
+        ("check", "A3:adjoint"),
+    ):
+        code, _, _, new = _import_probe(*argv)
+        assert code == 0 and not new & unused, (argv, new & unused)
+    # help, a usage error and the other forms still go through argparse
+    for argv in (("--help",), ("cgbetti", "A2:sc", "--max-rank", "3"), ("info", "A2:sc", "-x")):
+        code, _, _, new = _import_probe(*argv)
+        assert code in (0, 1) and "argparse" in new, argv
+    # a refused spec is refused before the homology, its sparse matrices or
+    # the assembly load
+    homology = {"uctop.homology", "uctop.rational", "uctop.assembly"}
+    for argv in (("cgbetti", "A3:sc"), ("jgbetti", "C6:sc")):
+        code, out, _, new = _import_probe(*argv)
+        assert (code, out) == (2, "") and not new & homology, argv
 
 
 def test_package_names_load_on_first_use():
     # `from uctop import ...` still gives every public name; the homology,
-    # the assembly, the count polynomials and the sparse rational matrices
-    # load when one is first read
+    # the assembly, the count polynomials, the sparse rational matrices and
+    # the lattice-basis projections load when one is first read
     probe = (
         "import sys, uctop\n"
-        "lazy = ('uctop.counting', 'uctop.homology', 'uctop.assembly', 'uctop.rational')\n"
+        "lazy = ('uctop.counting', 'uctop.homology', 'uctop.assembly', 'uctop.rational',\n"
+        "        'uctop.projections')\n"
         "before = [m in sys.modules for m in lazy]\n"
         "from uctop import boundary_homology, universal_centralizer_homology\n"
         "import uctop.counting, uctop.homology, uctop.assembly\n"
@@ -793,7 +890,7 @@ def test_package_names_load_on_first_use():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, False, False]"
+    assert proc.stdout.strip() == "[False, False, False, False, False]"
 
 
 def test_census_stream_imports_nothing():

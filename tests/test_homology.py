@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from uctop import homology
+from uctop import homology, rootdata
 from uctop.cli import parse_spec
 from uctop.errors import FunctorialityViolation, NontrivialPi0, UctopError
 from uctop.homology import (
@@ -24,7 +24,8 @@ from uctop.homology import (
     total_euler,
 )
 from uctop.matrices import IntMatrix
-from uctop.rational import RatMatrix, compound, rank
+from uctop.projections import compound, killing_projection
+from uctop.rational import RatMatrix, rank
 from uctop.rootdata import (
     CartanType,
     _roots_in_basis,
@@ -32,7 +33,6 @@ from uctop.rootdata import (
     build_datum,
     center_of_levi,
     invariant_form,
-    killing_projection,
 )
 
 from uctop.oracles import leibniz_det
@@ -262,7 +262,7 @@ def test_covering_triangles_detect_what_every_nested_chain_detects(monkeypatch, 
 @pytest.mark.parametrize("spec", ["D6:adjoint", "A4:sc"])
 def test_boundary_homology_solves_each_cartan_submatrix_once(cartan_solves, spec):
     # no lattice-basis projection and no Laplace minors: one small solve per
-    # nonempty proper S' gives every arrow
+    # connected nonempty proper C of the Dynkin diagram gives every arrow
     d = parse_spec(spec).datum()
     assert boundary_homology(d) == BettiTable.sphere(2 * d.rank - 1)
     solved, blocks = cartan_solves(d)
@@ -386,8 +386,10 @@ def test_boundary_homology_refusals():
 
 
 def test_boundary_homology_compares_the_witness_with_the_levi_snfs(monkeypatch):
-    # X/Q names a witness whose SNF finds a connected center
-    monkeypatch.setattr(homology, "proper_pi0_witness", lambda d: (1,))
+    # X/Q names a witness whose SNF finds a connected center; the gate that
+    # boundary_homology (and the CLI, before it loads the homology) calls
+    # reads the witness in rootdata
+    monkeypatch.setattr(rootdata, "proper_pi0_witness", lambda d: (1,))
     with pytest.raises(UctopError) as err:
         boundary_homology(build_datum(ct(("A", 2)), "adjoint"))
     assert type(err.value) is UctopError
@@ -395,7 +397,7 @@ def test_boundary_homology_compares_the_witness_with_the_levi_snfs(monkeypatch):
         "X/Q names S = {1} as a witness, but its Levi center has trivial pi0"
     )
     # X/Q finds no witness where an SNF finds a disconnected proper center
-    monkeypatch.setattr(homology, "proper_pi0_witness", lambda d: None)
+    monkeypatch.setattr(rootdata, "proper_pi0_witness", lambda d: None)
     with pytest.raises(UctopError) as err:
         boundary_homology(build_datum(ct(("A", 3)), "sc"))
     assert type(err.value) is UctopError

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uctop.matrices import IntMatrix, InvariantFactors, snf
-from uctop.rational import RatMatrix, compound, rank
+from uctop.projections import compound
+from uctop.rational import RatMatrix, rank
 from uctop.rootdata import CartanType, cartan_matrix
 
 from uctop.oracles import leibniz_det, minor_gcds, subset_divisor_data
@@ -22,6 +23,7 @@ from reference_oracles import (
     cramer_solve,
     determinantal_divisor_data,
     naive_rank,
+    unrestricted_minor_gcds,
 )
 
 
@@ -169,6 +171,22 @@ def test_minor_gcd_table_gives_the_divisors_of_every_row_subset():
             for sub in itertools.combinations(range(nr), k):
                 want = determinantal_divisor_data([rows[i] for i in sub], nc)
                 assert subset_divisor_data(gcds, sub) == want, (rows, sub)
+
+
+def test_minor_gcds_skip_only_minors_that_vanish():
+    # sparse matrices with zero rows and zero columns: the column sets that
+    # minor_gcds skips hold a column zero on the chosen rows
+    rng = random.Random(24)
+    for _ in range(200):
+        nr, nc = rng.randint(0, 5), rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -4, 6)) for _ in range(nc)] for _ in range(nr)]
+        for i in rng.sample(range(nr), rng.randint(0, nr)):
+            rows[i] = [0] * nc
+        for j in rng.sample(range(nc), rng.randint(0, nc)):
+            for row in rows:
+                row[j] = 0
+        size = rng.choice((None, 1, 2, 3))
+        assert minor_gcds(rows, nc, size) == unrestricted_minor_gcds(rows, nc, size), (rows, size)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from uctop import matrices, rootdata
+from uctop import matrices, projections, rootdata
 from uctop.cli import parse_spec
 from uctop.counting import e_polynomial, point_count_poly, poincare_from_purity
 from uctop.errors import UctopError
 from uctop.matrices import IntMatrix
+from uctop.projections import killing_projection
 from uctop.rational import RatMatrix, rank
 from uctop.rootdata import (
     CartanType,
@@ -28,7 +29,6 @@ from uctop.rootdata import (
     center_of_levi,
     center_order,
     invariant_form,
-    killing_projection,
     levi_root_matrix,
     proper_pi0_witness,
     weyl_order,
@@ -477,7 +477,7 @@ COUNT_POLYNOMIALS = (point_count_poly, e_polynomial, poincare_from_purity)
 def test_cached_results_are_freed_with_their_datum():
     d = build_datum(ct(("A", 3)), IntMatrix.from_rows([[1, 0, 1], [0, 1, 0], [2, 0, 0]]))
     center = weakref.ref(center_of_levi(d, (1,)))
-    projector = weakref.ref(rootdata._projector(d, (1,))[0])
+    projector = weakref.ref(projections._projector(d, (1,))[0])
     polys = [weakref.ref(f(d)) for f in COUNT_POLYNOMIALS]
     assert center() is not None and projector() is not None  # held by d
     assert all(p() is not None for p in polys)
