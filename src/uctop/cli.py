@@ -296,10 +296,6 @@ COMMANDS = {
 }
 
 
-# the rank bound when no --max-rank is given
-_MAX_RANK = 8
-
-
 class _UsageError(Exception):
     pass
 
@@ -319,18 +315,8 @@ def _build_parser(names=COMMANDS):
     for name in names:
         p = sub.add_parser(name, help=COMMANDS[name][1], allow_abbrev=False)
         p.add_argument("spec", help="group spec, e.g. A2:adjoint or A1xA2:sc")
-        p.add_argument(
-            "--format",
-            choices=("table", "json"),
-            default="table",
-            help="output format (default: table)",
-        )
-        p.add_argument(
-            "--max-rank",
-            type=_parse_max_rank_arg,
-            default=_MAX_RANK,
-            help=f"refuse total ranks above this bound (default: {_MAX_RANK})",
-        )
+        for option, keywords in _OPTIONS.items():
+            p.add_argument(option, **keywords)
         if name == "pi0":
             p.add_argument(
                 "--levi",
@@ -352,21 +338,16 @@ def _decimal(text: str) -> int | None:
         return None
 
 
-def _levi(text: str) -> tuple[int, ...] | None:
-    """A `--levi` value as a sorted tuple without repeats, or None."""
+def _parse_levi_arg(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
     items = [_decimal(x) for x in text.split(",")]
-    return None if None in items else tuple(sorted(set(items)))
-
-
-def _parse_levi_arg(text: str) -> tuple[int, ...]:
-    if (value := _levi(text)) is None:
+    if None in items:
         import argparse
 
         raise argparse.ArgumentTypeError(f"--levi expects a comma list of integers, got {text!r}")
-    return value
+    return tuple(sorted(set(items)))
 
 
 def _parse_max_rank_arg(text: str) -> int:
@@ -377,36 +358,51 @@ def _parse_max_rank_arg(text: str) -> int:
     return value
 
 
+# the options every command takes, as argparse is given them; `_well_formed`
+# reads the same entries, so both parsers follow one grammar
+_OPTIONS = {
+    "--format": {
+        "choices": ("table", "json"),
+        "default": "table",
+        "help": "output format (default: table)",
+    },
+    "--max-rank": {
+        "type": _parse_max_rank_arg,
+        "default": 8,
+        "help": "refuse total ranks above this bound (default: 8)",
+    },
+}
+
+
 def _well_formed(argv: list[str]) -> SimpleNamespace | None:
     """What argparse makes of `argv` when it is well formed, or None.
 
     Well formed: a command, then a spec that does not start with '-', then
-    options written --name=value, each at most once, with a value the
-    converters accept: --format=table|json, --max-rank=<decimal> and, for
-    pi0 only, --levi=<comma list>. argparse parses these to the same
-    values, so it runs only for everything else (help, usage errors, values
-    after a space, repeated options, options before the spec, '--').
+    options of `_OPTIONS` written --name=value, each at most once, with a
+    value that the option's `type` converts and its `choices` hold, as
+    argparse reads them. argparse runs only for everything else (help,
+    usage errors, values after a space, repeated options, options before
+    the spec, '--', pi0's --levi).
     """
     if len(argv) < 2 or argv[0] not in COMMANDS or argv[1].startswith("-"):
         return None
-    args = SimpleNamespace(
-        command=argv[0], spec=argv[1], format="table", max_rank=_MAX_RANK, levi=None
-    )
+    values = {"command": argv[0], "spec": argv[1], "levi": None}
+    values.update((o[2:].replace("-", "_"), k["default"]) for o, k in _OPTIONS.items())
     seen = set()
     for item in argv[2:]:
         name, eq, text = item.partition("=")
-        if not eq or name in seen:
+        keywords = _OPTIONS.get(name)
+        if not eq or keywords is None or name in seen:
             return None
         seen.add(name)
-        if name == "--format" and text in ("table", "json"):
-            args.format = text
-        elif name == "--max-rank" and (value := _decimal(text)) is not None:
-            args.max_rank = value
-        elif name == "--levi" and argv[0] == "pi0" and (value := _levi(text)) is not None:
-            args.levi = value
-        else:
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:  # the same call under argparse reports it
             return None
-    return args
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[name[2:].replace("-", "_")] = value
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
