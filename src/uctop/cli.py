@@ -13,6 +13,7 @@ nontrivial component group).
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 from types import SimpleNamespace
@@ -451,15 +452,30 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    try:
+    """The process entry point of `python -m uctop` and of the `uctop` script.
+
+    Runs `main`, flushes stdout and then stderr, runs the registered exit
+    handlers and ends the process with `os._exit`: the interpreter's
+    teardown (unloading the modules, freeing the datum's caches) is not
+    paid once the answer is out. It never returns; call `main` from Python.
+    With fd 1 closed at start nothing is computed: `error: stdout is
+    closed`, exit 1. `SystemExit` from argparse's `--help` and any
+    unexpected exception leave by the interpreter's normal exit.
+    """
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        print("error: stdout is closed", file=sys.stderr)
+        code = 1
+    else:
         try:
-            code = main()
-        finally:
-            sys.stdout.flush()  # a closed pipe shows up here, not at exit
-    except BrokenPipeError:
-        # the reader has gone, as under `| head`: end quietly, with the status
-        # of a writer killed by SIGPIPE; stdout goes to the null device so
-        # that the interpreter's own flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
-    sys.exit(code)
+            try:
+                code = main()
+            finally:
+                sys.stdout.flush()  # a closed pipe shows up here, if not in main
+        except BrokenPipeError:
+            # the reader has gone, as under `| head`: end quietly, with the
+            # status of a writer killed by SIGPIPE
+            code = 141
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    atexit._run_exitfuncs()
+    os._exit(code)

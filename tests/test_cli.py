@@ -926,12 +926,28 @@ def test_census_stream_imports_nothing():
     assert int(count) > 0 and new.strip() == "[]"
 
 
+def _child_env(unbuffered=True):
+    """The environment of a `python -m uctop` child: PYTHONPATH=src, and
+    PYTHONUNBUFFERED set to 1 or dropped (stdout fully buffered on a pipe or
+    a file)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+# the ids without a suffix run unbuffered: the BrokenPipeError surfaces in
+# main's print; fully buffered, it surfaces at entry's flush
 @pytest.mark.parametrize(
-    "argv, keep",
-    [(["pi0", "A12:sc", "--max-rank=12"], 10), (["info", "A1:adjoint"], 0)],
-    ids=["pi0-A12", "info-A1"],
+    "argv, keep, unbuffered",
+    [
+        (["pi0", "A12:sc", "--max-rank=12"], 10, True),
+        (["info", "A1:adjoint"], 0, True),
+        (["pi0", "A12:sc", "--max-rank=12"], 10, False),
+        (["info", "A1:adjoint"], 0, False),
+    ],
+    ids=["pi0-A12", "info-A1", "pi0-A12-buffered", "info-A1-buffered"],
 )
-def test_closed_pipe_ends_quietly(argv, keep):
+def test_closed_pipe_ends_quietly(argv, keep, unbuffered):
     # a reader that stops early, as `| head -c 10` does: pi0 on A12 prints
     # far more than a pipe holds, and `info` writes only after the reader has
     # gone. No traceback, an empty stderr, and the status 141 of a writer
@@ -940,13 +956,70 @@ def test_closed_pipe_ends_quietly(argv, keep):
         [sys.executable, "-m", "uctop", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env=_child_env(unbuffered),
     )
     assert len(proc.stdout.read(keep)) == keep
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (141, b"")
+
+
+def test_closed_stdout_is_an_error():
+    # fd 1 closed before the interpreter starts leaves sys.stdout None: the
+    # command computes nothing and says why, with the usage-error status
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -m uctop info A1:adjoint >&-', sys.executable],
+        capture_output=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (1, b"error: stdout is closed\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pi0", "A12:sc", "--max-rank=12"], ["count", "A1:sc", "--max-rank=0"], ["cgbetti", "A3:sc"]],
+    ids=["exit0", "exit1", "exit2"],
+)
+def test_buffered_streams_lose_no_byte(capsys, tmp_path, argv):
+    # entry ends the process with os._exit, which flushes nothing: a fully
+    # buffered stdout sent to a file (pi0 on A12 writes about 160 kB) must
+    # still carry every byte main prints, beside its stderr and status
+    out, err = tmp_path / "out", tmp_path / "err"
+    with out.open("wb") as stdout, err.open("wb") as stderr:
+        proc = subprocess.run(
+            [sys.executable, "-m", "uctop", *argv],
+            stdout=stdout,
+            stderr=stderr,
+            env=_child_env(unbuffered=False),
+        )
+    code, want_out, want_err = run_cli(capsys, *argv)
+    assert (proc.returncode, out.read_bytes(), err.read_bytes()) == (
+        code,
+        want_out.encode(),
+        want_err.encode(),
+    )
+
+
+@pytest.mark.parametrize("argv", [["count", "A1:sc"], ["cgbetti", "A3:sc"]], ids=["exit0", "exit2"])
+def test_console_script_runs_exit_handlers(tmp_path, argv):
+    # the form of pip's generated `uctop` script, under an exit handler such
+    # as coverage.py registers: the handler runs, and the script answers as
+    # `python -m uctop` does
+    marker = tmp_path / "marker"
+    script = (
+        "import atexit, sys\n"
+        f"atexit.register(lambda: open({str(marker)!r}, 'w').write('ran'))\n"
+        f"sys.argv = ['uctop', *{argv!r}]\n"
+        "from uctop.cli import entry\n"
+        "sys.exit(entry())\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env())
+    want = subprocess.run(
+        [sys.executable, "-m", "uctop", *argv], capture_output=True, env=_child_env()
+    )
+    assert marker.read_text() == "ran"
+    assert (run.returncode, run.stdout, run.stderr) == (want.returncode, want.stdout, want.stderr)
 
 
 def test_module_entry_point_runs():
