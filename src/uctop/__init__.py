@@ -34,11 +34,14 @@ from .rootdata import (
 
 __version__ = "0.1.0"
 
-# The homology, the assembly, the count polynomials, the sparse rational
-# matrices and the lattice-basis projections load on first use, so that a
-# command which never reads them does not compile them (PEP 562).
+# The certified boundary homology, the Cech build, the assembly, the count
+# polynomials, the sparse rational matrices and the lattice-basis projections
+# load on first use, so that a command which never reads them does not
+# compile them (PEP 562). `uctop.homology` re-exports the names of
+# `uctop.boundary`, and both give the same objects.
 _LAZY = {
     "assembly": ("AssemblyReport", "intersection_number", "universal_centralizer_homology"),
+    "boundary": ("BettiTable", "boundary_homology"),
     "counting": (
         "QPolynomial",
         "e_polynomial",
@@ -48,10 +51,8 @@ _LAZY = {
         "purity_poincare_coeffs",
     ),
     "homology": (
-        "BettiTable",
         "CechComplex",
         "CenterDiagram",
-        "boundary_homology",
         "build_cech_complex",
         "build_center_diagram",
         "total_euler",

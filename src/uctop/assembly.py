@@ -14,7 +14,7 @@ from __future__ import annotations
 from ._value import Frozen, setfield
 from .counting import poincare_from_purity
 from .errors import UctopError
-from .homology import BettiTable, boundary_homology
+from .boundary import BettiTable, boundary_homology
 from .rootdata import RootDatum, center_order, weyl_order
 
 __all__ = [

@@ -3,7 +3,8 @@
 Each item compares one result of the pipeline with a second route to it: a
 brute-force oracle, another formula, or a guard's own test. The pipeline runs
 in stages (the Levi centers, the invariant form, the center diagram with the
-battery's own chains, the Cech complex, its Betti table, the assembly), and
+battery's own chains and the naturality certificate, the Cech complex, its
+Betti table against the certified closed form, the assembly), and
 each stage yields its value or the guard error it raised. That outcome sets
 the skip reason of every item that reads the stage, so a failed guard is one
 FAIL line, never an exception.
@@ -11,10 +12,10 @@ FAIL line, never an exception.
 
 from __future__ import annotations
 
-from . import assembly, homology, oracles, rootdata
+from . import assembly, boundary, homology, oracles, rootdata
 from .counting import e_polynomial, point_count_poly, poincare_from_purity
 from .errors import FunctorialityViolation, NontrivialPi0, UctopError, format_levi
-from .rational import _pivot_rows, rank
+from .rational import rank
 from .rootdata import (
     RootDatum,
     all_levi_subsets,
@@ -148,9 +149,12 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
 
     # stage 2, the center diagram. build_center_diagram certifies the form
     # and checks the covering triangles with a < b itself; the battery checks
-    # those with a > b (the other middle set), and ranks the covering arrows
-    # from their columns, so it runs without the diagram too. Together these
-    # cover every nested chain and pair (homology._check_chains says why)
+    # those with a > b (the other middle set). Together these cover every
+    # nested chain (homology._check_chains says why). The naturality
+    # certificate reads the covering columns, so it runs without the diagram
+    # too: phi_S' . M == pi . phi_S with phi invertible makes every covering
+    # arrow M = phi_S'^(-1) . pi . phi_S a surjection, and every longer arrow
+    # is a composite of covering ones
     needs_diagram = needs_form or needs_centers
     diagram = chain_error = None
     if not needs_diagram:
@@ -161,9 +165,7 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     item("projection functoriality over chains", lambda: _outcome(chain_error), needs_diagram)
     item(
         "projections surject onto their targets",
-        lambda: all(
-            _covering_rank(d, sp, a) == n - len(sp) for _, sp, a in homology._covering_pairs(n)
-        ),
+        lambda: _outcome(_attempt(UctopError, boundary._check_naturality, d)[1]),
         needs_diagram,
     )
 
@@ -193,7 +195,7 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     # proper Levi center is disconnected and the diagram was built
     witness = proper_pi0_witness(d)
     refused = f"refused at S = {format_levi(witness)}" if witness else ""
-    complex_ = dd_error = forward = betti_error = report = None
+    complex_ = dd_error = forward = betti_error = closed = closed_error = report = None
     if not refused and diagram is not None:
         # build_cech_complex raises unless d.d = 0 on every row
         complex_, dd_error = _attempt(FunctorialityViolation, homology.build_cech_complex, diagram)
@@ -201,6 +203,10 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         # the rank bookkeeping's guard fails the sphere item below
         forward, betti_error = _attempt(UctopError, homology._betti_from_complex, complex_)
     if forward is not None:
+        # the first route, which cgbetti and jgbetti answer from: the closed
+        # form, certified arrow by arrow; a failed certificate fails the
+        # sphere item below
+        closed, closed_error = _attempt(UctopError, boundary.boundary_homology, d)
         # a boundary that is not the odd sphere fails its item below
         report, _ = _attempt(UctopError, assembly._attach_handles, d, forward)
     needs_complex = refused or ("needs the Cech complex" if complex_ is None else "")
@@ -229,12 +235,11 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         lambda: forward.total() <= sum(sum(r.dims) for r in complex_.rows),
         needs_betti,
     )
-    sphere = (1,) + (0,) * (2 * n - 2) + (1,)
     item(
         "boundary homology is the odd sphere",
-        lambda: _outcome(betti_error)
-        if forward is None
-        else (forward.betti == sphere, f"betti {list(forward.betti)}"),
+        lambda: _outcome(betti_error if forward is None else closed_error)
+        if closed is None
+        else (forward == closed, f"betti {list(forward.betti)}"),
         needs_complex,
     )
     item(
@@ -267,17 +272,6 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
             needs_centers,
         )
     return items
-
-
-def _covering_rank(d: RootDatum, sp: tuple[int, ...], a: int) -> int:
-    """Rank of the covering arrow S' - {a} -> S' from its integer rows, with
-    columns labelled by coweight: den at each k outside S' (the identity
-    block) and the numerator of V_S'[k, a] at a (the one column)."""
-    den, columns = homology._coweight_columns(d, sp)
-    column = columns[a]
-    rows = [{k: den, a: column[k]} if k in column else {k: den}
-            for k in range(1, d.rank + 1) if k not in sp]
-    return len(_pivot_rows(rows))
 
 
 def _check_substitution(e_coeffs, p_coeffs, n: int) -> bool:

@@ -234,7 +234,7 @@ def _cmd_poincare(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]
 
 def _cmd_cgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
     witness_gate(d)  # a refused datum loads no homology
-    from .homology import boundary_homology
+    from .boundary import boundary_homology
 
     betti = list(boundary_homology(d).betti)
     return {"betti": betti}, [f"betti: {betti}"]
@@ -406,6 +406,17 @@ def _well_formed(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
+def _complain(message: str) -> None:
+    """Print `message` on stderr. A closed stderr (None when fd 2 was closed
+    at start, or failing on write) loses the message, never the exit status
+    that goes with it, and never sends it to stdout."""
+    if sys.stderr is not None:
+        try:
+            print(message, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _well_formed(argv)
@@ -417,7 +428,7 @@ def main(argv=None) -> int:
         try:
             args = parser.parse_args(argv)
         except _UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _complain(f"error: {exc}")
             return 1
         if args.command is None:
             parser.print_help()
@@ -437,10 +448,10 @@ def main(argv=None) -> int:
                 )
         sections, lines = handler(spec, spec.datum(), args)
     except NontrivialPi0 as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+        _complain(f"refused: {exc}")
         return 2
     except UctopError as exc:  # bad input, or a library guard that failed
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return 1
     if args.format == "json":
         import json  # loaded only under --format=json
@@ -459,11 +470,12 @@ def entry() -> None:
     teardown (unloading the modules, freeing the datum's caches) is not
     paid once the answer is out. It never returns; call `main` from Python.
     With fd 1 closed at start nothing is computed: `error: stdout is
-    closed`, exit 1. `SystemExit` from argparse's `--help` and any
-    unexpected exception leave by the interpreter's normal exit.
+    closed`, exit 1. Any other error writing stdout (a full disk, say) ends
+    as `error: <reason>`, exit 1. `SystemExit` from argparse's `--help` and
+    any unexpected exception leave by the interpreter's normal exit.
     """
     if sys.stdout is None:  # fd 1 was closed when the interpreter started
-        print("error: stdout is closed", file=sys.stderr)
+        _complain("error: stdout is closed")
         code = 1
     else:
         try:
@@ -475,7 +487,13 @@ def entry() -> None:
             # the reader has gone, as under `| head`: end quietly, with the
             # status of a writer killed by SIGPIPE
             code = 141
+        except OSError as exc:  # stdout only: main's stderr writes never raise
+            _complain(f"error: {exc}")
+            code = 1
     if sys.stderr is not None:
-        sys.stderr.flush()
+        try:
+            sys.stderr.flush()
+        except OSError:  # a closed fd 2 takes nothing, as in _complain
+            pass
     atexit._run_exitfuncs()
     os._exit(code)

@@ -1,4 +1,4 @@
-"""Cech homology of the boundary manifold of a universal centralizer.
+"""Cech homology of the boundary manifold: the second route to its Betti table.
 
 The boundary manifold fibers over a simplex with vertex set the simple roots;
 its homology is the homotopy colimit, over proper subsets S of the simple
@@ -15,6 +15,15 @@ covering arrow S -> S + {a}. Every stalk is a homology object, so the rows
 never interact and the Betti number in total degree m is the sum over
 w + p = m of the row homology dimensions.
 
+`boundary_homology` (in `uctop.boundary`, re-exported here) does not build
+this complex. It certifies, exactly and arrow by arrow, that the diagram is
+naturally isomorphic to the diagram of coordinate projections, whose complex
+is the Kunneth product of n two-term complexes, and reports S^(2n-1) (that
+module's docstring has the argument and its references). The build below is
+what `uctop check` runs as the second route to the same table: the Cech
+differentials in closed form, d.d = 0 checked exactly on every row, and
+ranks taken with clearing. Its Betti table must equal the certified one.
+
 Everything is written in fundamental-coweight coordinates. Over Q the
 cocharacter space of Z(L_S) is span{omega_k^vee : k not in S} for every
 isogeny, so the lattice enters only through the refusal witness and the Levi
@@ -22,15 +31,12 @@ SNFs it is compared with. The projection onto the space of S' fixes each
 omega_k^vee with k outside S' and kills the coroots alpha_i^vee, i in S',
 which the invariant form makes orthogonal to every omega_k^vee with k != i
 (`_check_form` certifies that once per datum). So it sends omega_a^vee,
-a in S', to column a of V_S' = -A[K', S'] . A[S', S']^(-1), with A the
-Cartan matrix and K' the complement of S'. That column depends only on the
-connected component of S' in the Dynkin diagram that holds a, so one small
-solve per connected component gives every V_S'. Each covering arrow
-S -> S + {a} is the identity plus one column, its compounds have
-closed-form minors, and a covering triangle is an identity between columns.
-The diagram is its covering arrows: on the Boolean lattice of proper
-subsets they fix it once every covering triangle composes, so no longer
-arrow is ever built.
+a in S', to column a of V_S' (`_coweight_columns`, one small Cartan solve
+per connected component of S'). Each covering arrow S -> S + {a} is the
+identity plus one column, its compounds have closed-form minors, and a
+covering triangle is an identity between columns. The diagram is its
+covering arrows: on the Boolean lattice of proper subsets they fix it once
+every covering triangle composes, so no longer arrow is ever built.
 """
 
 from __future__ import annotations
@@ -38,19 +44,11 @@ from __future__ import annotations
 import itertools
 import math
 
-from ._value import Frozen, Value, setfield
-from .errors import FunctorialityViolation, UctopError, format_levi
-from .matrices import IntMatrix
+from ._value import Value
+from .boundary import BettiTable, _check_form, _coweight_columns, boundary_homology
+from .errors import FunctorialityViolation, UctopError
 from .rational import RatMatrix, _pivot_rows, _subset_index
-from .rootdata import (
-    RootDatum,
-    all_levi_subsets,
-    cartan_matrix,
-    center_of_levi,
-    invariant_form,
-    memoized,
-    witness_gate,
-)
+from .rootdata import RootDatum, all_levi_subsets
 
 __all__ = [
     "CenterDiagram",
@@ -62,33 +60,6 @@ __all__ = [
     "boundary_homology",
     "total_euler",
 ]
-
-
-class BettiTable(Frozen):
-    """Graded dimensions of rational homology, trailing zeros trimmed."""
-
-    __slots__ = _fields = ("betti",)
-
-    def __init__(self, betti: tuple[int, ...]) -> None:
-        bs = list(betti)
-        while bs and bs[-1] == 0:
-            bs.pop()
-        if any(b < 0 for b in bs):
-            raise ValueError("Betti numbers must be nonnegative")
-        setfield(self, "betti", tuple(bs))
-
-    @classmethod
-    def sphere(cls, dim: int) -> BettiTable:
-        """Betti table of the sphere S^dim."""
-        if dim == 0:
-            return cls((2,))
-        return cls((1,) + (0,) * (dim - 1) + (1,))
-
-    def euler(self) -> int:
-        return sum((-1) ** k * b for k, b in enumerate(self.betti))
-
-    def total(self) -> int:
-        return sum(self.betti)
 
 
 # a covering arrow's one column, (den, {target position: numerator})
@@ -117,92 +88,6 @@ class CenterDiagram(Value):
     ) -> None:
         self.datum = datum
         self.arrows = arrows
-
-
-@memoized
-def _cartan_rows(d: RootDatum) -> list[list[int]]:
-    return cartan_matrix(d.cartan_type).to_lists()
-
-
-@memoized
-def _check_form(d: RootDatum) -> None:
-    """Certify the fact the coweight arrows rest on, once per datum.
-
-    G = `invariant_form(d)` (whose own guards raise first) is the Gram
-    matrix of the simple coroots, and omega^vee = alpha^vee . A^(-1), so
-    G . A^(-1) holds the pairings (alpha_i^vee, omega_k^vee). It is diagonal,
-    i.e. the coroots in S' span the orthogonal complement of the coweights
-    outside S', exactly when G = D . A with D diagonal: when row i of G is
-    G_ii / A_ii times row i of A.
-    """
-    g, a = invariant_form(d).to_lists(), _cartan_rows(d)
-    n = d.rank
-    if any(g[i][j] * a[i][i] != g[i][i] * a[i][j] for i in range(n) for j in range(n)):
-        raise UctopError("Gram matrix times the inverse Cartan matrix must be diagonal")
-
-
-@memoized
-def _coweight_columns(d: RootDatum, sp: tuple[int, ...]) -> tuple[int, dict[int, dict[int, int]]]:
-    """V_S' = -A[K', S'] . A[S', S']^(-1) for a nonempty proper S', with K'
-    its complement and A the Cartan matrix, as (den, columns): columns[a]
-    maps each k in K' where column a is nonzero to its numerator over den.
-
-    Column a is the projection of omega_a^vee onto the cocharacter space of
-    Z(L_S'), written in the coweights omega_k^vee, k in K': the projection
-    fixes those and kills the coroots alpha_i^vee, i in S', and
-    alpha_i^vee = sum over k of A[k, i] omega_k^vee.
-
-    A[S', S'] is block diagonal over the connected components C of S' in the
-    Dynkin diagram, and A[k, i] with i in C is nonzero only for k in C or a
-    neighbour of C, and every neighbour lies outside S'. So column a, for a
-    in C, is column a of V_C: it depends on C alone, and one solve per
-    component (`_block_columns`) serves every S' that has it as a component.
-    den is the lcm of the components' denominators, each in lowest terms, so
-    it is the least common denominator of V_S'.
-    """
-    parts = [_block_columns(d, c) for c in _components(_cartan_rows(d), sp)]
-    if len(parts) == 1:
-        return parts[0]
-    den = math.lcm(*(den_c for den_c, _ in parts))
-    merged = {}
-    for den_c, columns in parts:
-        f = den // den_c
-        merged.update((a, {k: f * v for k, v in col.items()}) for a, col in columns.items())
-    return den, {a: merged[a] for a in sp}
-
-
-def _components(a: list[list[int]], sp: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The connected components of S' in the Dynkin diagram of the Cartan
-    rows `a`, each a sorted tuple, in the order of their least elements."""
-    parts, seen = [], set()
-    for i in sp:
-        if i not in seen:
-            seen.add(i)
-            part, stack = [], [i]
-            while stack:
-                j = stack.pop()
-                part.append(j)
-                for k in sp:
-                    if k not in seen and a[j - 1][k - 1]:
-                        seen.add(k)
-                        stack.append(k)
-            parts.append(tuple(sorted(part)))
-    return parts
-
-
-@memoized
-def _block_columns(d: RootDatum, c: tuple[int, ...]) -> tuple[int, dict[int, dict[int, int]]]:
-    """`_coweight_columns` of a connected nonempty proper C: one fraction-free
-    solve of A[C, C]^T X = -A[K, C]^T, K the complement of C, whose solution
-    is V_C transposed."""
-    a = _cartan_rows(d)
-    outside = [k for k in range(1, d.rank + 1) if k not in c]
-    size, width = len(c), len(outside)
-    block = IntMatrix(size, size, tuple(a[j - 1][i - 1] for i in c for j in c))
-    rhs = IntMatrix(size, width, tuple(-a[k - 1][i - 1] for i in c for k in outside))
-    x, den, _ = block.solve(rhs)
-    columns = {i: {k: v for k, v in zip(outside, x.row(r)) if v} for r, i in enumerate(c)}
-    return den, columns
 
 
 def build_center_diagram(d: RootDatum) -> CenterDiagram:
@@ -270,9 +155,10 @@ def _check_chains(diagram: CenterDiagram, chains) -> None:
     a > c (the `check` battery does). So Q_(T + c) . Q_T == Q_(T + c) on
     every covering pair, and along any covering chain T_0 = s2, ..., T_m = s3,
     induction on m gives Q_s3 . Q_s2 == Q_s3 . Q_(T_(m-1)) . Q_s2 ==
-    Q_s3 . Q_(T_(m-1)) == Q_s3. Likewise a long arrow is the composite of the covering arrows along
-    such a chain, and composites of surjections are surjective, so the
-    battery ranks the covering arrows only.
+    Q_s3 . Q_(T_(m-1)) == Q_s3. Likewise a long arrow is the composite of
+    the covering arrows along such a chain, and composites of surjections
+    are surjective, so the battery certifies the covering arrows only (each
+    is phi_S'^(-1) . pi . phi_S by `boundary._check_naturality`).
     """
     d = diagram.datum
     done = set()
@@ -472,31 +358,6 @@ def _cleared_ranks(row: CechRow) -> dict[int, int]:
         pivots = _pivot_rows([r for i, r in enumerate(row.diffs[p].num) if i not in pivots])
         ranks[p] = len(pivots)
     return ranks
-
-
-@memoized
-def boundary_homology(d: RootDatum) -> BettiTable:
-    """Rational Betti numbers of the boundary manifold.
-
-    Requires every proper Levi center to be connected (trivial pi0); raises
-    NontrivialPi0 naming a witness subset otherwise, because the stalk
-    identification used by this computation fails there.
-
-    The witness comes from X/Q and the component groups from Levi SNFs, and
-    the two routes are compared: at the witness on refusal (`witness_gate`,
-    which the CLI calls before it loads this module), and at every proper S
-    otherwise. A disagreement raises UctopError. The diagram itself
-    reads only the Cartan matrix and the invariant form.
-    """
-    witness_gate(d)
-    for s in all_levi_subsets(d.rank, proper=True):
-        if not center_of_levi(d, s).pi0.is_trivial():
-            raise UctopError(
-                f"X/Q finds no witness, but the Levi center at S = {format_levi(s)} "
-                "has nontrivial pi0"
-            )
-    complex_ = build_cech_complex(build_center_diagram(d))
-    return _betti_from_complex(complex_)
 
 
 def _betti_from_complex(complex_: CechComplex) -> BettiTable:

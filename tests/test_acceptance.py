@@ -95,7 +95,8 @@ def test_criterion_2_boundary_sphere(capsys):
     elapsed = time.monotonic() - start
     assert payload["betti"] == list(BettiTable.sphere(11).betti)
     assert elapsed < 60.0, f"E6 must finish in < 60 s, took {elapsed:.1f}"
-    # the one run of rank-8 arrows and of the cleared exact ranks at rank 8
+    # the certificate at rank 8 (check on E8 runs the Cech build and its
+    # cleared ranks there)
     start = time.monotonic()
     payload = _cgbetti_json("E8:adjoint", capsys)
     e8_elapsed = time.monotonic() - start

@@ -31,6 +31,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def golden_out(key: str) -> str:
+    """The stdout that bench/data/golden.json records for the command line `key`."""
+    return json.loads((ROOT / "bench" / "data" / "golden.json").read_text())[key]["out"]
+
+
 # ---------------------------------------------------------------------------
 # spec grammar
 
@@ -389,9 +394,14 @@ def test_check_failure_exits_1(capsys, monkeypatch):
     ],
 )
 def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
-    from uctop import homology, rootdata
+    from uctop import boundary, homology, rootdata
 
     spec = "A3:adjoint"
+    # guards of the Cech build only: jgbetti answers from the certified
+    # closed form and never reaches them, and `check` fails their item
+    cech_only = guard in {"_check_chains", "_check_square_zero", "_betti_from_complex",
+                          "_cleared_ranks"}
+    failures = []
     if guard == "_block_symmetrizer":
         # D = diag(1, 2) makes D.A asymmetric on A2, which invariant_form's
         # guard refuses; the check items that project need the form
@@ -442,8 +452,10 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
         reasons = ["needs the boundary betti table"] * 2 + ["needs the assembly"] * 5
     elif guard == "_coweight_columns":
         # one rigged entry of the projection of omega_1^vee onto S' = {1,2}
-        # breaks the closed-form covering triangle () -> {1} -> {1,2}
-        real_columns = homology._coweight_columns
+        # breaks the closed-form covering triangle () -> {1} -> {1,2}, and
+        # the naturality of the covering arrow (2,) -> (1, 2), which the
+        # surjection item certifies
+        real_columns = boundary._coweight_columns
 
         def rigged(d, sp):
             den, columns = real_columns(d, sp)
@@ -452,13 +464,18 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
             return den, columns
 
         monkeypatch.setattr(homology, guard, rigged)
-        error = "projection composite through (1,) disagrees with the direct arrow () -> (1, 2)"
-        failed = f"FAIL {item} ({error})"
+        monkeypatch.setattr(boundary, guard, rigged)
+        error = "naturality fails on the covering arrow (2,) -> (1, 2)"
+        failed = (
+            f"FAIL {item} (projection composite through (1,) disagrees with the direct arrow "
+            "() -> (1, 2))"
+        )
+        failures = [f"FAIL projections surject onto their targets ({error})"]
         reasons = ["needs the Cech complex"] * 10
     elif guard == "invariant_form":
         # a symmetric positive definite form that does not make the coroots
         # orthogonal to the other fundamental coweights fails the certificate
-        monkeypatch.setattr(homology, guard, lambda d: IntMatrix.identity(d.rank))
+        monkeypatch.setattr(boundary, guard, lambda d: IntMatrix.identity(d.rank))
         error = "Gram matrix times the inverse Cartan matrix must be diagonal"
         failed = f"FAIL {item} ({error})"
         reasons = ["needs the Cech complex"] * 10
@@ -470,11 +487,14 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
         error = f"rigged {guard}"
         failed = f"FAIL {item} ({error})"
         reasons = ["needs the Cech complex"] * (10 if guard == "_check_chains" else 9)
-    assert run_cli(capsys, "jgbetti", spec) == (1, "", f"error: {error}\n")
+    if cech_only:
+        assert run_cli(capsys, "jgbetti", spec) == (0, golden_out(f"jgbetti {spec}"), "")
+    else:
+        assert run_cli(capsys, "jgbetti", spec) == (1, "", f"error: {error}\n")
     code, out, _ = run_cli(capsys, "check", spec)
     lines = out.splitlines()
     assert code == 1
-    assert [x for x in lines if x.startswith("FAIL")] == [failed]
+    assert [x for x in lines if x.startswith("FAIL")] == [failed, *failures]
     skipped = [x for x in lines if x.startswith("SKIP")]
     assert len(skipped) == len(reasons)
     assert all(x.endswith(f" ({reason})") for x, reason in zip(skipped, reasons))
@@ -599,6 +619,54 @@ def test_check_solves_each_cartan_submatrix_once(capsys, cartan_solves, spec):
     assert code == 0 and "0 failed" in out
     solved, blocks = cartan_solves(parse_spec(spec).datum())
     assert solved == blocks
+
+
+def test_homology_commands_run_no_cech_build(capsys, monkeypatch):
+    # cgbetti and jgbetti answer from the naturality certificate: the Cech
+    # build, the diagram and its triangle checks are never called, and the
+    # answers are the golden ones
+    from uctop import homology
+
+    def refuse(*args):
+        raise AssertionError("a homology command ran the Cech build")
+
+    for name in ("build_cech_complex", "build_center_diagram", "_check_chains"):
+        monkeypatch.setattr(homology, name, refuse)
+    for spec in ("A2:sc", "B3:adjoint", "A2xB3:adjoint", "D5:adjoint", "G2xB3:adjoint", "E6:adjoint"):
+        for command in ("cgbetti", "jgbetti"):
+            assert run_cli(capsys, command, spec) == (0, golden_out(f"{command} {spec}"), ""), (
+                command, spec
+            )
+
+
+def test_perturbed_certificate_column_is_an_error_and_a_failed_check(capsys, monkeypatch):
+    # the certificate's copy of one entry of V_{2,3} on D4 is off by one,
+    # while the diagram and the Cech build read the true columns: both
+    # homology commands print the certificate's error and exit 1, and under
+    # `check` the surjection item, which is the certificate, fails, and so
+    # does the comparison of the Cech table with the certified one
+    from uctop import boundary, homology  # homology binds the true columns first
+
+    assert homology._coweight_columns is boundary._coweight_columns
+    real = boundary._coweight_columns
+
+    def rigged(d, sp):
+        den, columns = real(d, sp)
+        if sp == (2, 3):
+            columns = {**columns, 3: {**columns[3], 4: columns[3].get(4, 0) + 1}}
+        return den, columns
+
+    monkeypatch.setattr(boundary, "_coweight_columns", rigged)
+    error = "naturality fails on the covering arrow (2,) -> (2, 3)"
+    for command in ("cgbetti", "jgbetti"):
+        assert run_cli(capsys, command, "D4:adjoint") == (1, "", f"error: {error}\n"), command
+    code, out, err = run_cli(capsys, "check", "D4:adjoint")
+    assert (code, err) == (1, "")
+    assert [x for x in out.splitlines() if not x.startswith("PASS")] == [
+        f"FAIL projections surject onto their targets ({error})",
+        f"FAIL boundary homology is the odd sphere ({error})",
+        "26 checks: 24 passed, 2 failed, 0 skipped",
+    ]
 
 
 def test_count_on_the_pinned_basis_matches_the_weight_lattice(capsys):
@@ -815,7 +883,9 @@ def test_cli_import_stays_light():
     assert out == golden[key]["out"]
     # the count side loads no homology, assembly or battery, and `info` not
     # even the count polynomials
-    unread = {"uctop.homology", "uctop.assembly", "uctop.battery", "uctop.oracles"}
+    unread = {
+        "uctop.boundary", "uctop.homology", "uctop.assembly", "uctop.battery", "uctop.oracles"
+    }
     code, out, _, new = _import_probe("info", "A1:adjoint")
     assert code == 0
     assert out == "group: A1:adjoint\nrank: 1\ncenter order: 1\nweyl order: 2\n"
@@ -823,10 +893,24 @@ def test_cli_import_stays_light():
     code, out, _, new = _import_probe("count", "A3:sc")
     assert code == 0 and out == "q^6 + q^4 + 2q^3\n"
     assert "uctop.counting" in new and not new & unread
-    # nor does any count-side command load the sparse rational matrices,
-    # which the homology commands do load, or `fractions`
-    _, _, _, new = _import_probe("jgbetti", "A1:adjoint")
-    assert "uctop.rational" in new and "uctop.projections" not in new
+    # the homology commands answer from the certified closed form: they load
+    # uctop.boundary, and neither the Cech build nor the sparse rational
+    # matrices it ranks
+    cech = {"uctop.homology", "uctop.rational", "uctop.projections", "uctop.battery"}
+    for argv, loaded in (
+        (("cgbetti", "A1:adjoint"), {"uctop.boundary"}),
+        (("cgbetti", "D5:adjoint"), {"uctop.boundary"}),
+        (("jgbetti", "A1:adjoint"), {"uctop.boundary", "uctop.assembly", "uctop.counting"}),
+        (("jgbetti", "E6:adjoint"), {"uctop.boundary", "uctop.assembly", "uctop.counting"}),
+    ):
+        code, _, _, new = _import_probe(*argv)
+        assert code == 0 and {m for m in new if m.split(".")[0] == "uctop"} == {
+            "uctop", "uctop.cli", "uctop._value", "uctop.errors", "uctop.matrices",
+            "uctop.rootdata", *loaded
+        }, (argv, new)
+        assert not new & cech, argv
+    # nor does any count-side command load the sparse rational matrices, or
+    # `fractions`
     for argv in (
         ("info", "A1:adjoint"),
         ("count", "A3:sc"),
@@ -862,24 +946,27 @@ def test_cli_import_stays_light():
         assert code in (0, 1) and "argparse" in new, argv
     # a refused spec is refused before the homology, its sparse matrices or
     # the assembly load
-    homology = {"uctop.homology", "uctop.rational", "uctop.assembly"}
+    homology = {"uctop.boundary", "uctop.homology", "uctop.rational", "uctop.assembly"}
     for argv in (("cgbetti", "A3:sc"), ("jgbetti", "C6:sc")):
         code, out, _, new = _import_probe(*argv)
         assert (code, out) == (2, "") and not new & homology, argv
 
 
 def test_package_names_load_on_first_use():
-    # `from uctop import ...` still gives every public name; the homology,
-    # the assembly, the count polynomials, the sparse rational matrices and
-    # the lattice-basis projections load when one is first read
+    # `from uctop import ...` still gives every public name; the certified
+    # boundary homology, the Cech build, the assembly, the count
+    # polynomials, the sparse rational matrices and the lattice-basis
+    # projections load when one is first read
     probe = (
         "import sys, uctop\n"
-        "lazy = ('uctop.counting', 'uctop.homology', 'uctop.assembly', 'uctop.rational',\n"
-        "        'uctop.projections')\n"
+        "lazy = ('uctop.counting', 'uctop.boundary', 'uctop.homology', 'uctop.assembly',\n"
+        "        'uctop.rational', 'uctop.projections')\n"
         "before = [m in sys.modules for m in lazy]\n"
         "from uctop import boundary_homology, universal_centralizer_homology\n"
         "import uctop.counting, uctop.homology, uctop.assembly\n"
         "assert boundary_homology is uctop.homology.boundary_homology\n"
+        "assert boundary_homology is uctop.boundary.boundary_homology\n"
+        "assert uctop.BettiTable is uctop.homology.BettiTable\n"
         "for name, module in uctop._LAZY_MODULE.items():\n"
         "    assert getattr(uctop, name) is getattr(sys.modules['uctop.' + module], name)\n"
         "    assert name in dir(uctop)\n"
@@ -895,7 +982,7 @@ def test_package_names_load_on_first_use():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, False, False, False]"
+    assert proc.stdout.strip() == "[False, False, False, False, False, False]"
 
 
 def test_census_stream_imports_nothing():
@@ -974,6 +1061,32 @@ def test_closed_stdout_is_an_error():
         env=_child_env(),
     )
     assert (proc.returncode, proc.stderr) == (1, b"error: stdout is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_full_stdout_is_an_error(unbuffered):
+    # a write that fails for any reason but a closed pipe (ENOSPC here) ends
+    # as a one-line error with the usage-error status, not a traceback
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "uctop", "info", "A1:adjoint"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=_child_env(unbuffered),
+        )
+    assert (proc.returncode, proc.stderr) == (1, b"error: [Errno 28] No space left on device\n")
+
+
+def test_refusal_with_stderr_closed_keeps_exit_2():
+    # the refusal's message is lost with stderr, its status is not
+    for argv, code in ((["cgbetti", "A3:sc"], 2), (["count", "A1:sc", "--max-rank=0"], 1)):
+        proc = subprocess.run(
+            ["sh", "-c", '"$0" -m uctop "$@" 2>&-', sys.executable, *argv],
+            capture_output=True,
+            env=_child_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (code, b""), argv
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from uctop import homology, rootdata
+from uctop import boundary, homology, rootdata
 from uctop.cli import parse_spec
 from uctop.errors import FunctorialityViolation, NontrivialPi0, UctopError
 from uctop.homology import (
     BettiTable,
     CechComplex,
+    CenterDiagram,
     _betti_from_complex,
     _check_square_zero,
     _cleared_ranks,
@@ -341,10 +342,57 @@ def test_total_euler_vanishes():
 
 
 def test_boundary_homology_spheres():
+    # the certified closed form, and the Cech build that `check` compares
+    # with it
     for t, iso in SPHERE_SWEEP:
         d = build_datum(t, iso)
         n = t.rank
         assert boundary_homology(d) == BettiTable.sphere(2 * n - 1), (str(t), iso)
+        cech = _betti_from_complex(build_cech_complex(build_center_diagram(d)))
+        assert cech == BettiTable.sphere(2 * n - 1), (str(t), iso)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_zero_column_diagram_is_the_odd_sphere(n):
+    # the diagram of coordinate projections, onto which the naturality
+    # certificate carries every center diagram: its Cech complex, built and
+    # ranked by the code of `check`'s second route, is that of S^(2n-1)
+    d = build_datum(ct(("A", n)), "adjoint")
+    arrows = {(s, sp): (1, {}) for s, sp, _ in homology._covering_pairs(n)}
+    cx = build_cech_complex(CenterDiagram(d, arrows))
+    assert _betti_from_complex(cx) == BettiTable.sphere(2 * n - 1)
+
+
+@pytest.mark.parametrize("spec", ["B3:sc", "D5:adjoint", "A2xB3:adjoint", "E6:adjoint"])
+def test_naturality_certificate_detects_every_one_entry_perturbation(monkeypatch, spec):
+    # an arrow that passes is phi_S'^(-1) . pi . phi_S, with phi_S' invertible,
+    # so it fixes column a of V_S': with one entry V_S'[k, a] off by one,
+    # zero entries included, the certificate raises on the covering arrow
+    # S' - {a} -> S', the one arrow that reads that column
+    d = parse_spec(spec).datum()
+    n = d.rank
+    check = boundary._check_naturality.__wrapped__  # past the cache on d
+    real = boundary._coweight_columns
+    check(d)
+    perturbed = 0
+    for sp in all_levi_subsets(n, proper=True)[1:]:
+        for a in sp:
+            for k in range(1, n + 1):
+                if k not in sp:
+                    def rigged(d, target, sp=sp, a=a, k=k):
+                        den, columns = real(d, target)
+                        if target != sp:
+                            return den, columns
+                        column = {**columns[a], k: columns[a].get(k, 0) + 1}
+                        return den, {**columns, a: {r: v for r, v in column.items() if v}}
+
+                    monkeypatch.setattr(boundary, "_coweight_columns", rigged)
+                    arrow = f"{tuple(i for i in sp if i != a)} -> {sp}"
+                    with pytest.raises(FunctorialityViolation) as err:
+                        check(d)
+                    assert str(err.value) == f"naturality fails on the covering arrow {arrow}"
+                    perturbed += 1
+    assert perturbed == n * (n - 1) * 2 ** (n - 2)
 
 
 def test_cleared_ranks_equal_full_ranks():
