@@ -16,29 +16,17 @@ from .errors import (
     NontrivialPi0,
     UctopError,
 )
-from .matrices import IntMatrix, InvariantFactors, snf
-from .rootdata import (
-    CartanType,
-    CenterData,
-    RootDatum,
-    all_levi_subsets,
-    build_datum,
-    cartan_matrix,
-    center_of_levi,
-    center_order,
-    invariant_form,
-    levi_root_matrix,
-    proper_pi0_witness,
-    weyl_order,
-)
+from .matrices import IntMatrix
+from .rootdata import CartanType, RootDatum, build_datum, cartan_matrix, center_order, weyl_order
 
 __version__ = "0.1.0"
 
-# The certified boundary homology, the Cech build, the assembly, the count
-# polynomials, the sparse rational matrices and the lattice-basis projections
-# load on first use, so that a command which never reads them does not
-# compile them (PEP 562). `uctop.homology` re-exports the names of
-# `uctop.boundary`, and both give the same objects.
+# The Levi centers with their Smith form, the certified boundary homology,
+# the Cech build, the assembly, the count polynomials, the sparse rational
+# matrices and the lattice-basis projections load on first use, so that a
+# command which never reads them does not compile them (PEP 562).
+# `uctop.homology` re-exports the names of `uctop.boundary`, and both give
+# the same objects.
 _LAZY = {
     "assembly": ("AssemblyReport", "intersection_number", "universal_centralizer_homology"),
     "boundary": ("BettiTable", "boundary_homology"),
@@ -56,6 +44,16 @@ _LAZY = {
         "build_cech_complex",
         "build_center_diagram",
         "total_euler",
+    ),
+    "levi": (
+        "CenterData",
+        "InvariantFactors",
+        "all_levi_subsets",
+        "center_of_levi",
+        "invariant_form",
+        "levi_root_matrix",
+        "proper_pi0_witness",
+        "snf",
     ),
     "projections": ("compound", "killing_projection"),
     "rational": ("RatMatrix", "rank"),

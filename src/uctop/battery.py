@@ -12,19 +12,12 @@ FAIL line, never an exception.
 
 from __future__ import annotations
 
-from . import assembly, boundary, homology, oracles, rootdata
+from . import assembly, boundary, homology, levi, oracles
 from .counting import e_polynomial, point_count_poly, poincare_from_purity
 from .errors import FunctorialityViolation, NontrivialPi0, UctopError, format_levi
+from .levi import all_levi_subsets, center_of_levi, levi_root_matrix, proper_pi0_witness
 from .rational import rank
-from .rootdata import (
-    RootDatum,
-    all_levi_subsets,
-    cartan_matrix,
-    center_of_levi,
-    levi_root_matrix,
-    proper_pi0_witness,
-    weyl_order,
-)
+from .rootdata import RootDatum, cartan_matrix, weyl_order
 
 __all__ = ["run_checks"]
 
@@ -133,7 +126,7 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     # stage 1, the invariant form: invariant_form's guard, item by item, on
     # the form it guards (a symmetrizer that cannot be built fails the
     # first); the center diagram certifies its arrows against the form
-    gram, form_error = _attempt(UctopError, rootdata._symmetrized_cartan, d.cartan_type)
+    gram, form_error = _attempt(UctopError, levi._symmetrized_cartan, d.cartan_type)
     symmetric = gram is not None and gram.is_symmetric()
     definite = gram is not None and gram.is_positive_definite()
     item(

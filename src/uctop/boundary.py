@@ -46,15 +46,8 @@ import math
 from ._value import Frozen, setfield
 from .errors import FunctorialityViolation, UctopError, format_levi
 from .matrices import IntMatrix
-from .rootdata import (
-    RootDatum,
-    all_levi_subsets,
-    cartan_matrix,
-    center_of_levi,
-    invariant_form,
-    memoized,
-    witness_gate,
-)
+from .levi import all_levi_subsets, center_of_levi, invariant_form, witness_gate
+from .rootdata import RootDatum, cartan_matrix, memoized
 
 __all__ = ["BettiTable", "boundary_homology"]
 

@@ -21,16 +21,7 @@ from types import SimpleNamespace
 from ._value import Frozen, setfield
 from .errors import GroupSpecError, NontrivialPi0, UctopError, format_levi
 from .matrices import IntMatrix
-from .rootdata import (
-    CartanType,
-    RootDatum,
-    all_levi_subsets,
-    build_datum,
-    center_of_levi,
-    center_order,
-    weyl_order,
-    witness_gate,
-)
+from .rootdata import CartanType, RootDatum, build_datum, center_order, weyl_order
 
 __all__ = ["GroupSpec", "parse_spec", "main", "entry"]
 
@@ -170,7 +161,8 @@ def _parse_isogeny_part(compact: str, pos: int, n: int) -> str | IntMatrix:
 # command implementations: each returns its JSON sections and its table
 # lines; `main` puts "command" and "spec" before the sections in the JSON,
 # and exits 1 when sections["failed"] is set. Each imports the modules past
-# `rootdata` that it reads, so no command loads what it never runs.
+# `rootdata` that it reads, so no command loads what it never runs: `info`
+# reads no Levi center, and loads no Smith form.
 
 
 def _cmd_info(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
@@ -189,6 +181,8 @@ def _cmd_info(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
 
 
 def _cmd_pi0(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
+    from .levi import all_levi_subsets, center_of_levi
+
     if args.levi is not None:
         subsets = [tuple(args.levi)]
     else:
@@ -233,6 +227,8 @@ def _cmd_poincare(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]
 
 
 def _cmd_cgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
+    from .levi import witness_gate
+
     witness_gate(d)  # a refused datum loads no homology
     from .boundary import boundary_homology
 
@@ -241,6 +237,8 @@ def _cmd_cgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
 
 
 def _cmd_jgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
+    from .levi import witness_gate
+
     witness_gate(d)
     from .assembly import universal_centralizer_homology
 
@@ -297,37 +295,6 @@ COMMANDS = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _build_parser(names=COMMANDS):
-    """The parser with a subcommand for each of `names`; each subcommand's
-    parser is the same whichever others are built beside it."""
-    import argparse  # only help, usage errors and the rarer forms reach it
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):  # exit 1, not argparse's default 2
-            raise _UsageError(message)
-
-    # no option prefixes: "--form" is not "--format", whatever options exist
-    parser = _Parser(prog="uctop", description=__doc__, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in names:
-        p = sub.add_parser(name, help=COMMANDS[name][1], allow_abbrev=False)
-        p.add_argument("spec", help="group spec, e.g. A2:adjoint or A1xA2:sc")
-        for option, keywords in _OPTIONS.items():
-            p.add_argument(option, **keywords)
-        if name == "pi0":
-            p.add_argument(
-                "--levi",
-                type=_parse_levi_arg,
-                default=None,
-                help="single 1-based comma list, e.g. --levi=1,3 (empty for {})",
-            )
-    return parser
-
-
 def _decimal(text: str) -> int | None:
     """`text` read as ASCII decimal digits only, as ranks in a spec are (no
     sign, no '_', no other script's digits; whitespace around it is
@@ -337,18 +304,6 @@ def _decimal(text: str) -> int | None:
         return int(text) if text.isascii() and text.isdecimal() else None
     except ValueError:  # past the interpreter's limit on digits
         return None
-
-
-def _parse_levi_arg(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    items = [_decimal(x) for x in text.split(",")]
-    if None in items:
-        import argparse
-
-        raise argparse.ArgumentTypeError(f"--levi expects a comma list of integers, got {text!r}")
-    return tuple(sorted(set(items)))
 
 
 def _parse_max_rank_arg(text: str) -> int:
@@ -421,6 +376,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _well_formed(argv)
     if args is None:
+        from .usage import _build_parser, _UsageError
+
         # a leading command name needs only its own subparser; anything else
         # (no arguments, --help, an unknown command, an option first) gets the
         # full table, so every usage and help message reads the same

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from ._value import Frozen, setfield
 from .errors import NegativeCoefficient, NonPolynomialResult
-from .rootdata import RootDatum, memoized, quotient_supports
+from .levi import quotient_supports
+from .rootdata import RootDatum, memoized
 
 __all__ = [
     "QPolynomial",

@@ -47,8 +47,9 @@ import math
 from ._value import Value
 from .boundary import BettiTable, _check_form, _coweight_columns, boundary_homology
 from .errors import FunctorialityViolation, UctopError
+from .levi import all_levi_subsets
 from .rational import RatMatrix, _pivot_rows, _subset_index
-from .rootdata import RootDatum, all_levi_subsets
+from .rootdata import RootDatum
 
 __all__ = [
     "CenterDiagram",
@@ -64,6 +65,8 @@ __all__ = [
 
 # a covering arrow's one column, (den, {target position: numerator})
 Column = tuple[int, dict[int, int]]
+# the covering arrows of a diagram, by (S, S + {a})
+Arrows = dict[tuple[tuple[int, ...], tuple[int, ...]], Column]
 
 
 class CenterDiagram(Value):
@@ -78,21 +81,27 @@ class CenterDiagram(Value):
     Cech differentials. It is the identity plus one column, kept as
     (den, column): the projection of omega_a^vee, with `column` mapping each
     target position r (the r-th coweight outside S + {a}) to its nonzero
-    numerator over den.
+    numerator over den. Only the Cech build reads them, so without `arrows`
+    given they are built (`_covering_arrows`) when first read.
     """
 
-    __slots__ = _fields = ("datum", "arrows")
+    __slots__ = ("datum", "_arrows")
+    _fields = ("datum", "arrows")
 
-    def __init__(
-        self, datum: RootDatum, arrows: dict[tuple[tuple[int, ...], tuple[int, ...]], Column]
-    ) -> None:
+    def __init__(self, datum: RootDatum, arrows: Arrows | None = None) -> None:
         self.datum = datum
-        self.arrows = arrows
+        self._arrows = arrows
+
+    @property
+    def arrows(self) -> Arrows:
+        if self._arrows is None:
+            self._arrows = _covering_arrows(self.datum)
+        return self._arrows
 
 
 def build_center_diagram(d: RootDatum) -> CenterDiagram:
-    """Certify the invariant form, populate the covering arrows, and verify
-    functoriality on covering triangles.
+    """Certify the invariant form and verify functoriality on covering
+    triangles; the arrows are built when the Cech build first reads them.
 
     Each triangle S -> S + {a} -> S + {a, b} with a < b is checked against
     the long arrow S -> S + {a, b}. The other middle set S + {b} needs no
@@ -100,6 +109,14 @@ def build_center_diagram(d: RootDatum) -> CenterDiagram:
     exactly that both paths around the square agree.
     """
     _check_form(d)
+    diagram = CenterDiagram(d)
+    _check_chains(diagram, _covering_triangles(d.rank))
+    return diagram
+
+
+def _covering_arrows(d: RootDatum) -> Arrows:
+    """Every covering arrow of the diagram of d, keyed and written as
+    `CenterDiagram.arrows` holds them."""
     n = d.rank
     arrows = {}
     for s, sp, a in _covering_pairs(n):
@@ -107,9 +124,7 @@ def build_center_diagram(d: RootDatum) -> CenterDiagram:
         column = columns[a]
         target = (k for k in range(1, n + 1) if k not in sp)
         arrows[(s, sp)] = (den, {r: column[k] for r, k in enumerate(target) if k in column})
-    diagram = CenterDiagram(d, arrows)
-    _check_chains(diagram, _covering_triangles(n))
-    return diagram
+    return arrows
 
 
 def _covering_pairs(n: int):

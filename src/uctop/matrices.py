@@ -1,23 +1,21 @@
 """Exact integer matrix primitives, all arbitrary precision.
 
 Integer matrices hold Python ints; their determinants and solves run one
-fraction-free (Bareiss) elimination, whose every entry is an integer minor,
-and `snf` gives their Smith normal form data. The sparse rational matrices of
-the homology are in `uctop.rational`, which only the homology path and
-`check` load. Matrices are immutable values, so everything here is safe to use
-concurrently.
+fraction-free (Bareiss) elimination, whose every entry is an integer minor.
+The Smith normal form is in `uctop.levi`, and the sparse rational matrices
+of the homology in `uctop.rational`; `info` loads neither. Matrices are
+immutable values, so everything here is safe to use concurrently.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Sequence
 
 from ._value import Frozen, setfield
 
-__all__ = ["IntMatrix", "InvariantFactors", "snf"]
+__all__ = ["IntMatrix"]
 
 
 class IntMatrix(Frozen):
@@ -152,128 +150,3 @@ def _width(rows: list[list], cols: int | None) -> int:
     if cols is not None and cols != width:
         raise ValueError("cols does not match row width")
     return width
-
-
-class InvariantFactors(Frozen):
-    """Nontrivial invariant factors of a finitely generated abelian group.
-
-    Only factors >= 2 are kept (1's carry no torsion); consecutive factors
-    satisfy the divisibility chain factors[i] | factors[i+1].
-    """
-
-    __slots__ = _fields = ("factors",)
-
-    def __init__(self, factors: tuple[int, ...]) -> None:
-        if any(f < 2 for f in factors):
-            raise ValueError("invariant factors must be >= 2")
-        for a, b in zip(factors, factors[1:]):
-            if b % a != 0:
-                raise ValueError(f"divisibility chain violated: {a} does not divide {b}")
-        setfield(self, "factors", factors)
-
-    def order(self) -> int:
-        """Order of the torsion group (1 when there is no torsion)."""
-        return math.prod(self.factors)
-
-    def is_trivial(self) -> bool:
-        return not self.factors
-
-
-def snf(m: IntMatrix) -> tuple[InvariantFactors, IntMatrix]:
-    """Smith normal form data of an integer matrix.
-
-    Returns the pair (factors, kernel): the nontrivial invariant factors of
-    coker(m) (acting on row vectors: Z^cols / row-span) and a basis of the
-    integer kernel {x : m x = 0} as matrix columns. The rank of m is
-    m.cols - kernel.cols.
-    """
-    a = m.to_lists()
-    nr, nc = m.rows, m.cols
-    # v accumulates the column operations, stored by columns (v[j] is column
-    # j), so a column operation is one list update; its trailing columns end
-    # up spanning the integer kernel.
-    v = [[0] * nc for _ in range(nc)]
-    for j in range(nc):
-        v[j][j] = 1
-    diag: list[int] = []
-    t = 0
-    while t < min(nr, nc):
-        piv = _smallest_nonzero(a, nr, nc, t)
-        if piv is None:
-            break
-        _move_pivot(a, v, nr, t, piv)
-        while True:
-            changed = False
-            if a[t][t] < 0:
-                a[t] = [-e for e in a[t]]
-            # clear column t below the pivot
-            for i in range(t + 1, nr):
-                if a[i][t] == 0:
-                    continue
-                q = a[i][t] // a[t][t]
-                if q:
-                    at_row = a[t]
-                    a[i] = [e - q * f for e, f in zip(a[i], at_row)]
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]  # remainder is a strictly smaller pivot
-                    changed = True
-            # clear row t right of the pivot
-            for j in range(t + 1, nc):
-                if a[t][j] == 0:
-                    continue
-                q = a[t][j] // a[t][t]
-                if q:
-                    for i in range(nr):
-                        if a[i][t]:
-                            a[i][j] -= q * a[i][t]
-                    v[j] = [x - q * y for x, y in zip(v[j], v[t])]
-                if a[t][j]:
-                    for i in range(nr):
-                        a[i][t], a[i][j] = a[i][j], a[i][t]
-                    v[t], v[j] = v[j], v[t]
-                    changed = True
-            if changed:
-                continue
-            # pivot must divide every entry of the trailing block (a unit does)
-            bad = None if a[t][t] == 1 else _nondivisible(a, nr, nc, t)
-            if bad is None:
-                break
-            a[t] = [e + f for e, f in zip(a[t], a[bad])]
-        diag.append(a[t][t])
-        t += 1
-    rank_ = len(diag)
-    kernel = tuple(itertools.chain.from_iterable(zip(*v[rank_:])))
-    return InvariantFactors(tuple(d for d in diag if d >= 2)), IntMatrix(nc, nc - rank_, kernel)
-
-
-def _smallest_nonzero(a, nr, nc, t):
-    best = None
-    best_abs = None
-    for i in range(t, nr):
-        for j in range(t, nc):
-            e = a[i][j]
-            if e and (best is None or abs(e) < best_abs):
-                best, best_abs = (i, j), abs(e)
-                if best_abs == 1:
-                    return best
-    return best
-
-
-def _move_pivot(a, v, nr, t, piv):
-    pi, pj = piv
-    if pi != t:
-        a[t], a[pi] = a[pi], a[t]
-    if pj != t:
-        for i in range(nr):
-            a[i][t], a[i][pj] = a[i][pj], a[i][t]
-        v[t], v[pj] = v[pj], v[t]
-
-
-def _nondivisible(a, nr, nc, t):
-    d = a[t][t]
-    for i in range(t + 1, nr):
-        for j in range(t + 1, nc):
-            if a[i][j] % d:
-                return i
-    return None
-

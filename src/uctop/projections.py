@@ -17,14 +17,9 @@ import math
 from collections.abc import Iterable, Iterator
 
 from .matrices import IntMatrix
+from .levi import _center_of_levi_cached, _normalize_levi, invariant_form
 from .rational import RatMatrix, _subset_index
-from .rootdata import (
-    RootDatum,
-    _center_of_levi_cached,
-    _normalize_levi,
-    invariant_form,
-    memoized,
-)
+from .rootdata import RootDatum, memoized
 
 __all__ = ["killing_projection", "compound", "exterior_powers"]
 

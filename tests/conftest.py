@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from uctop import projections, rootdata
+from uctop import levi, projections, rootdata
 from uctop.matrices import IntMatrix
 
 
@@ -40,7 +40,7 @@ def cartan_solves(monkeypatch):
         a = rootdata.cartan_matrix(d.cartan_type).to_lists()
         want = [
             IntMatrix.from_rows([[a[j - 1][i - 1] for j in s] for i in s]).entries
-            for s in rootdata.all_levi_subsets(n, proper=True)
+            for s in levi.all_levi_subsets(n, proper=True)
             if s and _connected(a, s)
         ]
         return sorted(m.entries for m in solved if m.rows < n), sorted(want)

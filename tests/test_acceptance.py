@@ -19,14 +19,11 @@ from uctop.cli import main
 from uctop.counting import e_polynomial, poincare_from_purity, point_count_poly
 from uctop.errors import NontrivialPi0
 from uctop.homology import BettiTable, build_cech_complex, build_center_diagram
-from uctop.matrices import IntMatrix, snf
+from uctop.levi import all_levi_subsets, proper_pi0_witness, snf
+from uctop.matrices import IntMatrix
 from uctop.projections import compound, killing_projection
 from uctop.rational import RatMatrix
-from uctop.rootdata import (
-    all_levi_subsets,
-    center_order,
-    proper_pi0_witness,
-)
+from uctop.rootdata import center_order
 
 from reference_oracles import determinantal_divisor_data
 

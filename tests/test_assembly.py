@@ -9,8 +9,9 @@ import pytest
 from uctop.assembly import intersection_number, universal_centralizer_homology
 from uctop.counting import e_polynomial, poincare_from_purity
 from uctop.errors import NontrivialPi0
+from uctop.levi import proper_pi0_witness
 from uctop.matrices import IntMatrix
-from uctop.rootdata import CartanType, build_datum, center_order, proper_pi0_witness
+from uctop.rootdata import CartanType, build_datum, center_order
 
 
 def ct(*factors):

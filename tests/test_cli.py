@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uctop import cli, rootdata
+from uctop import cli, levi, rootdata, usage
 from uctop.cli import GroupSpec, main, parse_spec
 from uctop.errors import FunctorialityViolation, GroupSpecError
 from uctop.matrices import IntMatrix
@@ -273,11 +273,11 @@ def test_fast_path_agrees_with_argparse(case):
     fast = cli._well_formed(argv)
     if well_formed is not None:
         assert (fast is not None) == well_formed, argv
-    parser = cli._build_parser(argv[:1] if argv and argv[0] in cli.COMMANDS else cli.COMMANDS)
+    parser = usage._build_parser(argv[:1] if argv and argv[0] in cli.COMMANDS else cli.COMMANDS)
     try:
         with contextlib.redirect_stdout(io.StringIO()):  # -h prints the help
             parsed = parser.parse_args(argv)
-    except (cli._UsageError, SystemExit):
+    except (usage._UsageError, SystemExit):
         parsed = None
     if fast is not None:
         assert parsed is not None, argv
@@ -394,7 +394,7 @@ def test_check_failure_exits_1(capsys, monkeypatch):
     ],
 )
 def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
-    from uctop import boundary, homology, rootdata
+    from uctop import boundary, homology
 
     spec = "A3:adjoint"
     # guards of the Cech build only: jgbetti answers from the certified
@@ -405,7 +405,7 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
     if guard == "_block_symmetrizer":
         # D = diag(1, 2) makes D.A asymmetric on A2, which invariant_form's
         # guard refuses; the check items that project need the form
-        monkeypatch.setattr(rootdata, guard, lambda a, off, rk: [1, 2])
+        monkeypatch.setattr(levi, guard, lambda a, off, rk: [1, 2])
         spec, error, failed = "A2:adjoint", "Gram matrix must be symmetric", f"FAIL {item}"
         reasons = ["needs the invariant form"] * 2 + ["needs the Cech complex"] * 10
     elif guard == "_betti_from_complex":
@@ -420,27 +420,27 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
     elif guard == "snf":
         # a kernel one column short trips center_of_levi's guard; pi0 reads
         # the Levi centers directly, and the check items that read them skip
-        real_snf = rootdata.snf
+        real_snf = levi.snf
 
         def short(m):
             factors, kernel = real_snf(m)
             rows = [r[:-1] for r in kernel.to_lists()]
             return factors, IntMatrix.from_rows(rows, cols=kernel.cols - 1)
 
-        monkeypatch.setattr(rootdata, guard, short)
+        monkeypatch.setattr(levi, guard, short)
         spec, error = "A2:adjoint", "simple roots must be linearly independent"
         failed = f"FAIL {item} ({error})"
         reasons = ["needs the Levi centers"] * 9 + ["needs the Cech complex"] * 10
         assert run_cli(capsys, "pi0", spec) == (1, "", f"error: {error}\n")
     elif guard == "disconnected_block":
         # the symmetrizer of a Dynkin block with no edges cannot be built
-        real_symmetrizer = rootdata._block_symmetrizer
+        real_symmetrizer = levi._block_symmetrizer
 
         def edgeless(a, off, rk):
             diagonal = [[x if i == j else 0 for j, x in enumerate(r)] for i, r in enumerate(a)]
             return real_symmetrizer(diagonal, off, rk)
 
-        monkeypatch.setattr(rootdata, "_block_symmetrizer", edgeless)
+        monkeypatch.setattr(levi, "_block_symmetrizer", edgeless)
         spec, error = "A2:adjoint", "Dynkin diagram of a simple factor must be connected"
         failed = f"FAIL {item} ({error})"
         reasons = ["needs the invariant form"] * 3 + ["needs the Cech complex"] * 10
@@ -544,7 +544,7 @@ def test_check_compares_each_chain_once(capsys, monkeypatch, spec):
     import itertools
 
     from uctop import homology
-    from uctop.rootdata import all_levi_subsets
+    from uctop.levi import all_levi_subsets
 
     seen = []
     original = homology._check_chains
@@ -685,7 +685,7 @@ def test_info_on_the_pinned_basis_runs_no_smith_form(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("info or count ran a Smith normal form")
 
-    monkeypatch.setattr(rootdata, "snf", refuse)
+    monkeypatch.setattr(levi, "snf", refuse)
     code, out, err = run_cli(capsys, "info", spec, "--max-rank=9")
     assert (code, err) == (0, "")
     assert "center order: 10\n" in out
@@ -771,6 +771,26 @@ def test_check_on_refused_data_builds_no_rational_matrix(capsys, monkeypatch):
         assert (code, err) == (want["rc"], ""), spec
         assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"], spec
         assert "(refused at S = " in out, spec
+
+
+def test_check_on_refused_data_builds_no_covering_arrow(capsys, monkeypatch):
+    # only the Cech build reads the diagram's arrows, and refused data never
+    # reach it: the form, both triangle orientations and the naturality
+    # certificate run on the covering columns, and `check` prints its golden
+    # bytes without building one arrow
+    from uctop import homology
+
+    def refuse(*args):
+        raise AssertionError("check built the covering arrows on refused data")
+
+    golden = json.loads((ROOT / "bench" / "data" / "golden.json").read_text())
+    monkeypatch.setattr(homology, "_covering_arrows", refuse)
+    code, out, err = run_cli(capsys, "check", "D5:sc")
+    want = golden["check D5:sc"]
+    assert (code, err) == (want["rc"], "")
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+    assert "PASS projection functoriality over chains" in out
+    assert "PASS projections surject onto their targets" in out
 
 
 # stdout, stderr and exit code of every command, in table and JSON form, on
@@ -882,20 +902,25 @@ def test_cli_import_stays_light():
     assert code == golden[key]["rc"] == 0 and json_loaded
     assert out == golden[key]["out"]
     # the count side loads no homology, assembly or battery, and `info` not
-    # even the count polynomials
+    # even the count polynomials, the Levi centers with their Smith form, or
+    # the argparse fallback
     unread = {
         "uctop.boundary", "uctop.homology", "uctop.assembly", "uctop.battery", "uctop.oracles"
+    }
+    base = {
+        "uctop", "uctop.cli", "uctop._value", "uctop.errors", "uctop.matrices", "uctop.rootdata"
     }
     code, out, _, new = _import_probe("info", "A1:adjoint")
     assert code == 0
     assert out == "group: A1:adjoint\nrank: 1\ncenter order: 1\nweyl order: 2\n"
     assert not new & (unread | {"uctop.counting"})
+    assert {m for m in new if m.split(".")[0] == "uctop"} == base
     code, out, _, new = _import_probe("count", "A3:sc")
     assert code == 0 and out == "q^6 + q^4 + 2q^3\n"
     assert "uctop.counting" in new and not new & unread
     # the homology commands answer from the certified closed form: they load
-    # uctop.boundary, and neither the Cech build nor the sparse rational
-    # matrices it ranks
+    # uctop.boundary and the Levi centers its witness gate compares, and
+    # neither the Cech build nor the sparse rational matrices it ranks
     cech = {"uctop.homology", "uctop.rational", "uctop.projections", "uctop.battery"}
     for argv, loaded in (
         (("cgbetti", "A1:adjoint"), {"uctop.boundary"}),
@@ -905,8 +930,7 @@ def test_cli_import_stays_light():
     ):
         code, _, _, new = _import_probe(*argv)
         assert code == 0 and {m for m in new if m.split(".")[0] == "uctop"} == {
-            "uctop", "uctop.cli", "uctop._value", "uctop.errors", "uctop.matrices",
-            "uctop.rootdata", *loaded
+            *base, "uctop.levi", *loaded
         }, (argv, new)
         assert not new & cech, argv
     # nor does any count-side command load the sparse rational matrices, or
@@ -921,8 +945,9 @@ def test_cli_import_stays_light():
         code, _, _, new = _import_probe(*argv)
         assert code == 0 and not new & {"uctop.rational", "fractions"}, argv
     # a well-formed command line runs no argparse (nor gettext and locale
-    # behind it), and no command loads `fractions` (nor decimal behind it)
-    unused = {"argparse", "gettext", "locale", "fractions", "decimal"}
+    # behind it, nor the module that builds the parser), and no command loads
+    # `fractions` (nor decimal behind it)
+    unused = {"argparse", "gettext", "locale", "uctop.usage", "fractions", "decimal"}
     for argv in (
         ("info", "A1:adjoint"),
         ("count", "A3:sc", "--format=json"),
@@ -943,7 +968,7 @@ def test_cli_import_stays_light():
         ("pi0", "A3:sc", "--levi=1,3"),
     ):
         code, _, _, new = _import_probe(*argv)
-        assert code in (0, 1) and "argparse" in new, argv
+        assert code in (0, 1) and {"argparse", "uctop.usage"} <= new, argv
     # a refused spec is refused before the homology, its sparse matrices or
     # the assembly load
     homology = {"uctop.boundary", "uctop.homology", "uctop.rational", "uctop.assembly"}
@@ -953,15 +978,25 @@ def test_cli_import_stays_light():
 
 
 def test_package_names_load_on_first_use():
-    # `from uctop import ...` still gives every public name; the certified
-    # boundary homology, the Cech build, the assembly, the count
-    # polynomials, the sparse rational matrices and the lattice-basis
-    # projections load when one is first read
+    # `from uctop import ...` still gives every public name; the Levi
+    # centers with their Smith form, the certified boundary homology, the
+    # Cech build, the assembly, the count polynomials, the sparse rational
+    # matrices and the lattice-basis projections load when one is first read
     probe = (
         "import sys, uctop\n"
         "lazy = ('uctop.counting', 'uctop.boundary', 'uctop.homology', 'uctop.assembly',\n"
-        "        'uctop.rational', 'uctop.projections')\n"
+        "        'uctop.rational', 'uctop.projections', 'uctop.levi')\n"
         "before = [m in sys.modules for m in lazy]\n"
+        "moved = ('snf', 'InvariantFactors', 'CenterData', 'center_of_levi', 'levi_root_matrix',\n"
+        "         'all_levi_subsets', 'invariant_form', 'proper_pi0_witness')\n"
+        "assert set(moved) <= set(dir(uctop))\n"
+        "import uctop.levi, uctop.matrices, uctop.rootdata\n"
+        "for name in moved:\n"
+        "    assert getattr(uctop, name) is getattr(uctop.levi, name), name\n"
+        "    # defined once: no copy or re-export where the name used to live\n"
+        "    assert not hasattr(uctop.rootdata, name) and not hasattr(uctop.matrices, name), name\n"
+        "assert not hasattr(uctop.rootdata, '__getattr__')\n"
+        "assert not hasattr(uctop.matrices, '__getattr__')\n"
         "from uctop import boundary_homology, universal_centralizer_homology\n"
         "import uctop.counting, uctop.homology, uctop.assembly\n"
         "assert boundary_homology is uctop.homology.boundary_homology\n"
@@ -982,7 +1017,7 @@ def test_package_names_load_on_first_use():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, False, False, False, False]"
+    assert proc.stdout.strip() == "[False, False, False, False, False, False, False]"
 
 
 def test_census_stream_imports_nothing():

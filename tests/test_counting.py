@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from uctop import rootdata
+from uctop import levi
 from uctop.cli import parse_spec
 from uctop.counting import (
     QPolynomial,
@@ -21,16 +21,9 @@ from uctop.counting import (
     purity_poincare_coeffs,
 )
 from uctop.errors import NegativeCoefficient, NonPolynomialResult
+from uctop.levi import all_levi_subsets, center_of_levi, proper_pi0_witness
 from uctop.matrices import IntMatrix
-from uctop.rootdata import (
-    CartanType,
-    all_levi_subsets,
-    build_datum,
-    cartan_matrix,
-    center_of_levi,
-    center_order,
-    proper_pi0_witness,
-)
+from uctop.rootdata import CartanType, build_datum, cartan_matrix, center_order
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -271,7 +264,7 @@ def test_quotient_route_matches_levi_snf_route_in_random_bases(t):
             d = build_datum(t, IntMatrix.from_rows(basis))
             count, orders, witness = _levi_snf_reference(d)
             assert point_count_poly(d).coeffs == count, basis
-            supports = rootdata._class_supports(d)
+            supports = levi._class_supports(d)
             for s, order in orders.items():
                 mask = sum(1 << (i - 1) for i in s)
                 assert sum(1 for m in supports if m & ~mask == 0) == order, (basis, s)
@@ -322,7 +315,7 @@ def test_count_side_runs_without_any_snf(monkeypatch):
     def refuse(*args):
         raise AssertionError("the count side ran a Smith normal form")
 
-    monkeypatch.setattr(rootdata, "snf", refuse)
+    monkeypatch.setattr(levi, "snf", refuse)
     a14 = _count_side(parse_spec("A14:sc").datum())
     count, witness = _sl_reference(14)
     assert a14[0] == 15 and a14[1].coeffs == count and a14[4] == witness

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from uctop import boundary, homology, rootdata
+from uctop import boundary, homology, levi
 from uctop.cli import parse_spec
 from uctop.errors import FunctorialityViolation, NontrivialPi0, UctopError
 from uctop.homology import (
@@ -24,17 +24,11 @@ from uctop.homology import (
     build_center_diagram,
     total_euler,
 )
+from uctop.levi import all_levi_subsets, center_of_levi, invariant_form
 from uctop.matrices import IntMatrix
 from uctop.projections import compound, killing_projection
 from uctop.rational import RatMatrix, rank
-from uctop.rootdata import (
-    CartanType,
-    _roots_in_basis,
-    all_levi_subsets,
-    build_datum,
-    center_of_levi,
-    invariant_form,
-)
+from uctop.rootdata import CartanType, _roots_in_basis, build_datum
 
 from uctop.oracles import leibniz_det
 
@@ -436,8 +430,8 @@ def test_boundary_homology_refusals():
 def test_boundary_homology_compares_the_witness_with_the_levi_snfs(monkeypatch):
     # X/Q names a witness whose SNF finds a connected center; the gate that
     # boundary_homology (and the CLI, before it loads the homology) calls
-    # reads the witness in rootdata
-    monkeypatch.setattr(rootdata, "proper_pi0_witness", lambda d: (1,))
+    # reads the witness in levi
+    monkeypatch.setattr(levi, "proper_pi0_witness", lambda d: (1,))
     with pytest.raises(UctopError) as err:
         boundary_homology(build_datum(ct(("A", 2)), "adjoint"))
     assert type(err.value) is UctopError
@@ -445,7 +439,7 @@ def test_boundary_homology_compares_the_witness_with_the_levi_snfs(monkeypatch):
         "X/Q names S = {1} as a witness, but its Levi center has trivial pi0"
     )
     # X/Q finds no witness where an SNF finds a disconnected proper center
-    monkeypatch.setattr(rootdata, "proper_pi0_witness", lambda d: None)
+    monkeypatch.setattr(levi, "proper_pi0_witness", lambda d: None)
     with pytest.raises(UctopError) as err:
         boundary_homology(build_datum(ct(("A", 3)), "sc"))
     assert type(err.value) is UctopError

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uctop.matrices import IntMatrix, InvariantFactors, snf
+from uctop.levi import InvariantFactors, snf
+from uctop.matrices import IntMatrix
 from uctop.projections import compound
 from uctop.rational import RatMatrix, rank
 from uctop.rootdata import CartanType, cartan_matrix

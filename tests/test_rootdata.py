@@ -14,25 +14,21 @@ from pathlib import Path
 
 import pytest
 
-from uctop import matrices, projections, rootdata
+from uctop import levi, matrices, projections, rootdata
 from uctop.cli import parse_spec
 from uctop.counting import e_polynomial, point_count_poly, poincare_from_purity
 from uctop.errors import UctopError
-from uctop.matrices import IntMatrix
-from uctop.projections import killing_projection
-from uctop.rational import RatMatrix, rank
-from uctop.rootdata import (
-    CartanType,
+from uctop.levi import (
     all_levi_subsets,
-    build_datum,
-    cartan_matrix,
     center_of_levi,
-    center_order,
     invariant_form,
     levi_root_matrix,
     proper_pi0_witness,
-    weyl_order,
 )
+from uctop.matrices import IntMatrix
+from uctop.projections import killing_projection
+from uctop.rational import RatMatrix, rank
+from uctop.rootdata import CartanType, build_datum, cartan_matrix, center_order, weyl_order
 
 from uctop.oracles import leibniz_det, reflection_group_order
 
@@ -284,11 +280,11 @@ def test_invariant_form_fixtures():
 
 def test_invariant_form_guards(monkeypatch):
     d = build_datum(ct(("A", 2)), "adjoint")
-    monkeypatch.setattr(rootdata, "_block_symmetrizer", lambda a, off, rk: [1, 2])
+    monkeypatch.setattr(levi, "_block_symmetrizer", lambda a, off, rk: [1, 2])
     with pytest.raises(UctopError, match="^Gram matrix must be symmetric$"):
         invariant_form(d)
-    monkeypatch.setattr(rootdata, "_block_symmetrizer", lambda a, off, rk: [1, 1])
-    monkeypatch.setattr(rootdata, "cartan_matrix", lambda t: IntMatrix.from_rows([[2, -3], [-3, 2]]))
+    monkeypatch.setattr(levi, "_block_symmetrizer", lambda a, off, rk: [1, 1])
+    monkeypatch.setattr(levi, "cartan_matrix", lambda t: IntMatrix.from_rows([[2, -3], [-3, 2]]))
     with pytest.raises(UctopError, match="^Gram matrix must be positive definite$"):
         invariant_form(d)
 
@@ -517,13 +513,13 @@ def test_each_levi_set_is_normalized_once(monkeypatch):
     from uctop.homology import boundary_homology
 
     seen = []
-    original = rootdata._normalize_levi
+    original = levi._normalize_levi
 
     def counting(d, levi):
         seen.append(levi)
         return original(d, levi)
 
-    monkeypatch.setattr(rootdata, "_normalize_levi", counting)
+    monkeypatch.setattr(levi, "_normalize_levi", counting)
     center_of_levi(build_datum(ct(("B", 3)), "sc"), (3, 1))
     assert seen == [(3, 1)]
     seen.clear()

@@ -19,17 +19,16 @@ from uctop.homology import (
     build_cech_complex,
     build_center_diagram,
 )
-from uctop.matrices import IntMatrix, InvariantFactors
-from uctop.rational import RatMatrix
-from uctop.rootdata import (
-    CartanType,
+from uctop.levi import (
     CenterData,
+    InvariantFactors,
     QuotientSupports,
-    RootDatum,
-    build_datum,
     center_of_levi,
     quotient_supports,
 )
+from uctop.matrices import IntMatrix
+from uctop.rational import RatMatrix
+from uctop.rootdata import CartanType, RootDatum, build_datum
 
 
 def _datum() -> RootDatum:
