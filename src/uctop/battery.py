@@ -2,10 +2,10 @@
 
 Each item compares one result of the pipeline with a second route to it: a
 brute-force oracle, another formula, or a guard's own test. The pipeline runs
-in stages (the Levi centers, the invariant form, the center diagram with the
-battery's own chains and the naturality certificate, the Cech complex, its
-Betti table against the certified closed form, the assembly), and
-each stage yields its value or the guard error it raised. That outcome sets
+in stages (the Levi centers, the invariant form, the functoriality of the
+center diagram and the naturality certificate, the Cech complex, its Betti
+table against the certified closed form, the assembly), and each stage
+yields its value or the guard error it raised. That outcome sets
 the skip reason of every item that reads the stage, so a failed guard is one
 FAIL line, never an exception.
 """
@@ -125,7 +125,7 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
 
     # stage 1, the invariant form: invariant_form's guard, item by item, on
     # the form it guards (a symmetrizer that cannot be built fails the
-    # first); the center diagram certifies its arrows against the form
+    # first); the functoriality check certifies the coweight arrows against it
     gram, form_error = _attempt(UctopError, levi._symmetrized_cartan, d.cartan_type)
     symmetric = gram is not None and gram.is_symmetric()
     definite = gram is not None and gram.is_positive_definite()
@@ -140,21 +140,16 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     )
     needs_form = "" if symmetric and definite else "needs the invariant form"
 
-    # stage 2, the center diagram. build_center_diagram certifies the form
-    # and checks the covering triangles with a < b itself; the battery checks
-    # those with a > b (the other middle set). Together these cover every
-    # nested chain (homology._check_chains says why). The naturality
-    # certificate reads the covering columns, so it runs without the diagram
-    # too: phi_S' . M == pi . phi_S with phi invertible makes every covering
-    # arrow M = phi_S'^(-1) . pi . phi_S a surjection, and every longer arrow
-    # is a composite of covering ones
+    # stage 2, functoriality: the form certificate and the one identity per
+    # covering pair and column that makes every nested chain compose
+    # (homology._check_functoriality says why). The naturality certificate
+    # reads the same covering columns: phi_S' . M == pi . phi_S with phi
+    # invertible makes every covering arrow M = phi_S'^(-1) . pi . phi_S a
+    # surjection, and every longer arrow is a composite of covering ones
     needs_diagram = needs_form or needs_centers
-    diagram = chain_error = None
+    chain_error = None
     if not needs_diagram:
-        diagram, chain_error = _attempt(UctopError, homology.build_center_diagram, d)
-    if diagram is not None:
-        chains = homology._covering_triangles(n, ascending=False)
-        _, chain_error = _attempt(FunctorialityViolation, homology._check_chains, diagram, chains)
+        _, chain_error = _attempt(UctopError, homology._check_functoriality, d)
     item("projection functoriality over chains", lambda: _outcome(chain_error), needs_diagram)
     item(
         "projections surject onto their targets",
@@ -185,11 +180,13 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     )
 
     # stages 3 and 4, the Cech complex and the assembly: run only when no
-    # proper Levi center is disconnected and the diagram was built
+    # proper Levi center is disconnected and the diagram is functorial, so
+    # refused data build no covering arrow
     witness = proper_pi0_witness(d)
     refused = f"refused at S = {format_levi(witness)}" if witness else ""
     complex_ = dd_error = forward = betti_error = closed = closed_error = report = None
-    if not refused and diagram is not None:
+    if not refused and not needs_diagram and chain_error is None:
+        diagram = homology.build_center_diagram(d)
         # build_cech_complex raises unless d.d = 0 on every row
         complex_, dd_error = _attempt(FunctorialityViolation, homology.build_cech_complex, diagram)
     if complex_ is not None:

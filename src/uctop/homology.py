@@ -33,10 +33,11 @@ which the invariant form makes orthogonal to every omega_k^vee with k != i
 (`_check_form` certifies that once per datum). So it sends omega_a^vee,
 a in S', to column a of V_S' (`_coweight_columns`, one small Cartan solve
 per connected component of S'). Each covering arrow S -> S + {a} is the
-identity plus one column, its compounds have closed-form minors, and a
-covering triangle is an identity between columns. The diagram is its
-covering arrows: on the Boolean lattice of proper subsets they fix it once
-every covering triangle composes, so no longer arrow is ever built.
+identity plus one column, its compounds have closed-form minors, and
+functoriality is one identity between columns per covering pair
+(`_check_functoriality`). The diagram is its covering arrows: on the Boolean
+lattice of proper subsets they fix a functorial diagram, so no longer arrow
+is ever built.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .boundary import BettiTable, _check_form, _coweight_columns, boundary_homol
 from .errors import FunctorialityViolation, UctopError
 from .levi import all_levi_subsets
 from .rational import RatMatrix, _pivot_rows, _subset_index
-from .rootdata import RootDatum
+from .rootdata import RootDatum, memoized
 
 __all__ = [
     "CenterDiagram",
@@ -76,42 +77,26 @@ class CenterDiagram(Value):
 
     `arrows` maps each covering pair (S, S + {a}) with S + {a} proper to its
     arrow, and holds nothing else: on the Boolean lattice of proper subsets a
-    diagram is fixed by its covering arrows once every covering triangle
-    composes (`_check_chains` says why), and each arrow is one block of the
+    functorial diagram is fixed by its covering arrows
+    (`_check_functoriality` says why), and each arrow is one block of the
     Cech differentials. It is the identity plus one column, kept as
     (den, column): the projection of omega_a^vee, with `column` mapping each
     target position r (the r-th coweight outside S + {a}) to its nonzero
-    numerator over den. Only the Cech build reads them, so without `arrows`
-    given they are built (`_covering_arrows`) when first read.
+    numerator over den.
     """
 
-    __slots__ = ("datum", "_arrows")
-    _fields = ("datum", "arrows")
+    __slots__ = _fields = ("datum", "arrows")
 
-    def __init__(self, datum: RootDatum, arrows: Arrows | None = None) -> None:
+    def __init__(self, datum: RootDatum, arrows: Arrows) -> None:
         self.datum = datum
-        self._arrows = arrows
-
-    @property
-    def arrows(self) -> Arrows:
-        if self._arrows is None:
-            self._arrows = _covering_arrows(self.datum)
-        return self._arrows
+        self.arrows = arrows
 
 
 def build_center_diagram(d: RootDatum) -> CenterDiagram:
-    """Certify the invariant form and verify functoriality on covering
-    triangles; the arrows are built when the Cech build first reads them.
-
-    Each triangle S -> S + {a} -> S + {a, b} with a < b is checked against
-    the long arrow S -> S + {a, b}. The other middle set S + {b} needs no
-    check here: d.d = 0 at w = 1, which `build_cech_complex` verifies, says
-    exactly that both paths around the square agree.
-    """
-    _check_form(d)
-    diagram = CenterDiagram(d)
-    _check_chains(diagram, _covering_triangles(d.rank))
-    return diagram
+    """Certify the invariant form and functoriality, then build every
+    covering arrow."""
+    _check_functoriality(d)
+    return CenterDiagram(d, _covering_arrows(d))
 
 
 def _covering_arrows(d: RootDatum) -> Arrows:
@@ -137,60 +122,43 @@ def _covering_pairs(n: int):
                     yield s, tuple(sorted(s + (a,))), a
 
 
-def _covering_triangles(n: int, ascending: bool = True):
-    """Chains S -> S + {a} -> S + {a, b} of proper subsets with a < b, or
-    with a > b (the other middle set) when not `ascending`."""
-    for s, sa, a in _covering_pairs(n):
-        if len(sa) + 1 < n:
-            for b in range(a + 1, n + 1) if ascending else range(1, a):
-                if b not in s:
-                    yield s, sa, tuple(sorted(sa + (b,)))
+@memoized
+def _check_functoriality(d: RootDatum) -> None:
+    """Certify the invariant form (`_check_form`), then raise
+    FunctorialityViolation unless every nested chain s1 <= s2 <= s3 of
+    proper subsets composes: Q_s3 . Q_s2 == Q_s3, with Q_S the projection
+    onto the space of S as computed (it fixes omega_k^vee, k outside S, and
+    sends omega_a^vee, a in S, to column a of V_S).
 
-
-def _check_chains(diagram: CenterDiagram, chains) -> None:
-    """Raise FunctorialityViolation unless, on every chain s1 <= s2 <= s3,
-    the composite projection s1 -> s2 -> s3 equals the direct one s1 -> s3.
-
-    Write Q_S for the projection onto the space of S as computed: it fixes
-    omega_k^vee for k outside S and sends omega_a^vee, a in S, to column a
-    of V_S. A chain's identity is Q_s3 . Q_s2 == Q_s3 on the coweights
-    outside s1. Both sides fix the coweights outside s3 and send
-    omega_a^vee, a in s3 - s2, to column a of V_s3. What is left is column a
-    for a in s2 - s1, which reads, with K3 the complement of s3,
+    Both sides fix the coweights outside s3 and send omega_a^vee, a in
+    s3 - s2, to column a of V_s3. What is left is column a for a in s2,
+    which reads, with K3 the complement of s3,
 
         V_s3[:, a] == V_s2[K3, a] + sum over b in s3 - s2 of V_s2[b, a] V_s3[:, b].
 
-    It does not depend on s1, so each (s2, s3, a) is checked once, in
-    integers.
-
-    The covering triangles of both orientations imply every nested chain.
-    For a covering pair (T, T + {c}) and a in T, the identity on
-    (T, T + {c}, a) is that of the covering triangle T - {a} -> T -> T + {c}:
-    ascending when a < c (`build_center_diagram` checks it), descending when
-    a > c (the `check` battery does). So Q_(T + c) . Q_T == Q_(T + c) on
-    every covering pair, and along any covering chain T_0 = s2, ..., T_m = s3,
-    induction on m gives Q_s3 . Q_s2 == Q_s3 . Q_(T_(m-1)) . Q_s2 ==
-    Q_s3 . Q_(T_(m-1)) == Q_s3. Likewise a long arrow is the composite of
-    the covering arrows along such a chain, and composites of surjections
-    are surjective, so the battery certifies the covering arrows only (each
-    is phi_S'^(-1) . pi . phi_S by `boundary._check_naturality`).
+    It is checked once, in integers, on each covering pair (T, T + {c}) and
+    a in T. Along a covering chain s2 = T_0, ..., T_m = s3, induction on m
+    then gives Q_s3 . Q_s2 == Q_s3 . Q_(T_(m-1)) . Q_s2 == Q_s3 . Q_(T_(m-1))
+    == Q_s3. So the arrow s1 -> s3 is the composite of the covering arrows
+    along any covering chain, and certifying those is enough: composites of
+    surjections are surjective (`boundary._check_naturality`).
     """
-    d = diagram.datum
-    done = set()
-    for s1, s2, s3 in chains:
-        for a in s2:
-            if a not in s1 and (s2, s3, a) not in done:
-                done.add((s2, s3, a))
-                if not _composes(_coweight_columns(d, s2), _coweight_columns(d, s3), s3, a):
+    _check_form(d)
+    for t, tc, _ in _covering_pairs(d.rank):
+        if t:
+            v2, v3 = _coweight_columns(d, t), _coweight_columns(d, tc)
+            for a in t:
+                if not _composes(v2, v3, tc, a):
+                    s1 = tuple(i for i in t if i != a)
                     raise FunctorialityViolation(
-                        f"projection composite through {s2} disagrees with the "
-                        f"direct arrow {s1} -> {s3}"
+                        f"projection composite through {t} disagrees with the "
+                        f"direct arrow {s1} -> {tc}"
                     )
 
 
 def _composes(v2, v3, s3: tuple[int, ...], a: int) -> bool:
-    """`_check_chains`' identity on column a, for V_s2 = v2 and V_s3 = v3 as
-    (den, columns), multiplied through by both denominators."""
+    """`_check_functoriality`'s identity on column a, for V_s2 = v2 and
+    V_s3 = v3 as (den, columns), multiplied through by both denominators."""
     (den2, columns2), (den3, columns3) = v2, v3
     via = columns2[a]
     total = {k: den3 * v for k, v in via.items() if k not in s3}

@@ -382,7 +382,7 @@ def test_check_failure_exits_1(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "guard, item",
     [
-        ("_check_chains", "projection functoriality over chains"),
+        ("_check_functoriality", "projection functoriality over chains"),
         ("_check_square_zero", "cech differentials square to zero"),
         ("_betti_from_complex", "boundary homology is the odd sphere"),
         ("_block_symmetrizer", "invariant form is symmetric"),
@@ -399,7 +399,7 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
     spec = "A3:adjoint"
     # guards of the Cech build only: jgbetti answers from the certified
     # closed form and never reaches them, and `check` fails their item
-    cech_only = guard in {"_check_chains", "_check_square_zero", "_betti_from_complex",
+    cech_only = guard in {"_check_functoriality", "_check_square_zero", "_betti_from_complex",
                           "_cleared_ranks"}
     failures = []
     if guard == "_block_symmetrizer":
@@ -486,7 +486,7 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
         monkeypatch.setattr(homology, guard, broken)
         error = f"rigged {guard}"
         failed = f"FAIL {item} ({error})"
-        reasons = ["needs the Cech complex"] * (10 if guard == "_check_chains" else 9)
+        reasons = ["needs the Cech complex"] * (10 if guard == "_check_functoriality" else 9)
     if cech_only:
         assert run_cli(capsys, "jgbetti", spec) == (0, golden_out(f"jgbetti {spec}"), "")
     else:
@@ -541,73 +541,32 @@ def test_rank_gate_comes_before_any_n_by_n_work(capsys, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["A4:adjoint", "A5:adjoint"])
 def test_check_compares_each_chain_once(capsys, monkeypatch, spec):
-    import itertools
-
     from uctop import homology
     from uctop.levi import all_levi_subsets
 
     seen = []
-    original = homology._check_chains
+    original = homology._composes
 
-    def recording(diagram, chains):
-        chains = list(chains)
-        seen.extend(chains)
-        original(diagram, chains)
+    def recording(v2, v3, s3, a):
+        seen.append((tuple(sorted(v2[1])), s3, a))  # V_T has one column per a in T
+        return original(v2, v3, s3, a)
 
-    monkeypatch.setattr(homology, "_check_chains", recording)
+    monkeypatch.setattr(homology, "_composes", recording)
     code, out, _ = run_cli(capsys, "check", spec)
     assert code == 0 and "PASS projection functoriality over chains" in out
-    # at every rank, both middle sets of every covering triangle: the
-    # diagram's ascending ones and the battery's descending ones
+    # one identity per covering pair (T, T + {c}) and column a in T, each
+    # checked once although the battery and the Cech build's diagram both
+    # need the check
     n = parse_spec(spec).cartan_type.rank
     want = [
-        (s, tuple(sorted(s + (a,))), tuple(sorted(s + (a, b))))
-        for s in all_levi_subsets(n, proper=True)
-        if len(s) + 2 < n
-        for a, b in itertools.permutations(sorted(set(range(1, n + 1)) - set(s)), 2)
+        (t, tuple(sorted(t + (c,))), a)
+        for t in all_levi_subsets(n, proper=True)
+        if t and len(t) + 1 < n
+        for c in range(1, n + 1)
+        if c not in t
+        for a in t
     ]
     assert sorted(seen) == sorted(want)
-
-
-@pytest.mark.parametrize(
-    "spec, summary, skipped",
-    [
-        ("A3:adjoint", "26 checks: 25 passed, 1 failed, 0 skipped", []),
-        (
-            "A5:adjoint",
-            "26 checks: 24 passed, 1 failed, 1 skipped",
-            ["SKIP weyl order matches reflection enumeration (rank > 4)"],
-        ),
-    ],
-)
-def test_failed_battery_chains_leave_the_diagram_to_later_stages(
-    capsys, monkeypatch, spec, summary, skipped
-):
-    # only the chains the battery adds fail: build_center_diagram's own
-    # ascending covering triangles pass, so the diagram exists and the Cech
-    # and assembly items still run on it
-    from uctop import homology
-
-    original = homology._check_chains
-
-    def rigged(diagram, chains):
-        chains = list(chains)
-        ascending = set(homology._covering_triangles(diagram.datum.rank))
-        if any(chain not in ascending for chain in chains):
-            raise FunctorialityViolation("rigged battery chains")
-        original(diagram, chains)
-
-    monkeypatch.setattr(homology, "_check_chains", rigged)
-    code, out, err = run_cli(capsys, "check", spec)
-    lines = out.splitlines()
-    assert (code, err) == (1, "")
-    assert [x for x in lines if x.startswith("FAIL")] == [
-        "FAIL projection functoriality over chains (rigged battery chains)"
-    ]
-    assert [x for x in lines if x.startswith("SKIP")] == skipped
-    assert lines[-1] == summary
-    assert "PASS cech differentials square to zero" in lines
-    assert "PASS refusal contract: no witness, assembly succeeded" in lines
 
 
 @pytest.mark.parametrize("spec", ["A4:sc", "A5:adjoint"])
@@ -623,14 +582,14 @@ def test_check_solves_each_cartan_submatrix_once(capsys, cartan_solves, spec):
 
 def test_homology_commands_run_no_cech_build(capsys, monkeypatch):
     # cgbetti and jgbetti answer from the naturality certificate: the Cech
-    # build, the diagram and its triangle checks are never called, and the
+    # build, the diagram and its functoriality check are never called, and the
     # answers are the golden ones
     from uctop import homology
 
     def refuse(*args):
         raise AssertionError("a homology command ran the Cech build")
 
-    for name in ("build_cech_complex", "build_center_diagram", "_check_chains"):
+    for name in ("build_cech_complex", "build_center_diagram", "_check_functoriality"):
         monkeypatch.setattr(homology, name, refuse)
     for spec in ("A2:sc", "B3:adjoint", "A2xB3:adjoint", "D5:adjoint", "G2xB3:adjoint", "E6:adjoint"):
         for command in ("cgbetti", "jgbetti"):
@@ -775,9 +734,9 @@ def test_check_on_refused_data_builds_no_rational_matrix(capsys, monkeypatch):
 
 def test_check_on_refused_data_builds_no_covering_arrow(capsys, monkeypatch):
     # only the Cech build reads the diagram's arrows, and refused data never
-    # reach it: the form, both triangle orientations and the naturality
-    # certificate run on the covering columns, and `check` prints its golden
-    # bytes without building one arrow
+    # reach it: the form certificate, the functoriality check and the
+    # naturality certificate run on the covering columns, and `check` prints
+    # its golden bytes without building one arrow
     from uctop import homology
 
     def refuse(*args):

@@ -216,26 +216,32 @@ def test_closed_form_minors_are_the_compounds_of_the_arrows():
 
 @pytest.mark.parametrize("spec", ["A3:adjoint", "B3:sc", "C3:adjoint", "A4:sc"])
 def test_covering_triangles_detect_what_every_nested_chain_detects(monkeypatch, spec):
-    # the covering triangles of both orientations imply every nested chain
-    # (see _check_chains), so on data with one entry V_S'[k, a] off by one,
-    # zero entries included, the two sets of chains raise together
-    d = parse_spec(spec).datum()
-    n = d.rank
-    diag = build_center_diagram(d)
+    # one identity per covering pair and column implies every nested chain
+    # (see _check_functoriality), so on data with one entry V_S'[k, a] off
+    # by one, zero entries included, the check raises exactly when some
+    # nested chain s1 <= s2 <= s3 fails its identity on a column a in s2 - s1
+    n = parse_spec(spec).cartan_type.rank
     proper = all_levi_subsets(n, proper=True)
     every = [(s1, s2, s3) for s1, s3 in nested_pairs(n) for s2 in proper
              if set(s1) <= set(s2) <= set(s3)]
-    covering = [*homology._covering_triangles(n), *homology._covering_triangles(n, False)]
     real = homology._coweight_columns
 
-    def raises(chains):
+    def chains_fail(d):
+        def v(s):
+            return homology._coweight_columns(d, s)
+
+        return any(not homology._composes(v(s2), v(s3), s3, a)
+                   for s1, s2, s3 in every for a in s2 if a not in s1)
+
+    def check_raises(d):
         try:
-            homology._check_chains(diag, chains)
+            homology._check_functoriality(d)
         except FunctorialityViolation:
             return True
         return False
 
-    assert not raises(every)
+    fresh = parse_spec(spec).datum()
+    assert not chains_fail(fresh) and not check_raises(fresh)
     outcomes = []
     for sp in proper[1:]:
         for a in sp:
@@ -249,9 +255,35 @@ def test_covering_triangles_detect_what_every_nested_chain_detects(monkeypatch, 
                         return den, {**columns, a: {r: v for r, v in column.items() if v}}
 
                     monkeypatch.setattr(homology, "_coweight_columns", rigged)
-                    outcomes.append(raises(every))
-                    assert raises(covering) == outcomes[-1], (spec, sp, a, k)
+                    d = parse_spec(spec).datum()  # the check is memoized on the datum
+                    outcomes.append(chains_fail(d))
+                    assert check_raises(d) == outcomes[-1], (spec, sp, a, k)
     assert outcomes and any(outcomes)
+
+
+def test_failed_functoriality_check_is_not_memoized(monkeypatch):
+    # the battery and build_center_diagram share one memoized check: a run
+    # that raised stores nothing on the datum, so a later call checks again
+    # and raises again, until the columns are right
+    d = parse_spec("A3:adjoint").datum()
+    real = homology._coweight_columns
+
+    def rigged(d, sp):
+        den, columns = real(d, sp)
+        if sp == (1, 2):
+            columns = {**columns, 1: {k: v + 1 for k, v in columns[1].items()}}
+        return den, columns
+
+    monkeypatch.setattr(homology, "_coweight_columns", rigged)
+    check = homology._check_functoriality.__wrapped__
+    for _ in range(2):
+        with pytest.raises(FunctorialityViolation):
+            build_center_diagram(d)
+        assert not any(key[0] is check for key in d._memo)
+    monkeypatch.undo()
+    diag = build_center_diagram(d)
+    assert any(key[0] is check for key in d._memo)
+    assert diag.arrows == build_center_diagram(parse_spec("A3:adjoint").datum()).arrows
 
 
 @pytest.mark.parametrize("spec", ["D6:adjoint", "A4:sc"])
