@@ -11,7 +11,7 @@ leaves |Z| - 1 independent cycles in degree 2n.
 
 from __future__ import annotations
 
-from ._value import Frozen, setfield
+from ._value import Frozen
 from .counting import poincare_from_purity
 from .errors import UctopError
 from .boundary import BettiTable, boundary_homology
@@ -38,20 +38,6 @@ class AssemblyReport(Frozen):
     __slots__ = _fields = (
         "betti", "cells_attached", "boundary_rank", "intersection_number", "purity_match"
     )
-
-    def __init__(
-        self,
-        betti: BettiTable,
-        cells_attached: int,
-        boundary_rank: int,
-        intersection_number: int | Fraction,
-        purity_match: bool,
-    ) -> None:
-        setfield(self, "betti", betti)
-        setfield(self, "cells_attached", cells_attached)
-        setfield(self, "boundary_rank", boundary_rank)
-        setfield(self, "intersection_number", intersection_number)
-        setfield(self, "purity_match", purity_match)
 
 
 def intersection_number(d: RootDatum) -> int | Fraction:

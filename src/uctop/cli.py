@@ -29,13 +29,13 @@ _LETTERS = "ABCDEFG"
 
 
 class GroupSpec(Frozen):
-    """A parsed group spec; `canonical` re-parses to the same datum."""
+    """A parsed group spec, equal to any spec of the same type and isogeny;
+    `canonical` re-parses to the same datum."""
 
-    _fields = ("raw", "cartan_type", "isogeny")
+    _fields = ("cartan_type", "isogeny")
     __slots__ = _fields + ("_datum",)
 
-    def __init__(self, raw: str, cartan_type: CartanType, isogeny: str | IntMatrix) -> None:
-        setfield(self, "raw", raw)
+    def __init__(self, cartan_type: CartanType, isogeny: str | IntMatrix) -> None:
         setfield(self, "cartan_type", cartan_type)
         setfield(self, "isogeny", isogeny)
         setfield(self, "_datum", None)
@@ -73,11 +73,8 @@ def parse_spec(s: str) -> GroupSpec:
         raise GroupSpecError("missing ':' between type and isogeny", len(compact))
     factors = _parse_type_part(compact[:colon])
     isogeny = _parse_isogeny_part(compact, colon + 1, sum(r for _, r in factors))
-    try:
-        ct = CartanType(tuple(factors))
-    except ValueError as exc:
-        raise GroupSpecError(str(exc), 0) from None
-    spec = GroupSpec(s, ct, isogeny)
+    # the factors are nonempty and each already passed CartanType
+    spec = GroupSpec(CartanType(tuple(factors)), isogeny)
     if isinstance(isogeny, IntMatrix):
         try:
             spec.datum()
@@ -378,10 +375,9 @@ def main(argv=None) -> int:
     if args is None:
         from .usage import _build_parser, _UsageError
 
-        # a leading command name needs only its own subparser; anything else
-        # (no arguments, --help, an unknown command, an option first) gets the
-        # full table, so every usage and help message reads the same
-        parser = _build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
+        # the full table on every path, so every usage and help message
+        # reads the same
+        parser = _build_parser()
         try:
             args = parser.parse_args(argv)
         except _UsageError as exc:

@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from ._value import Value
+from ._value import Frozen
 from .boundary import BettiTable, _check_form, _coweight_columns, boundary_homology
 from .errors import FunctorialityViolation, UctopError
 from .levi import all_levi_subsets
@@ -70,7 +70,7 @@ Column = tuple[int, dict[int, int]]
 Arrows = dict[tuple[tuple[int, ...], tuple[int, ...]], Column]
 
 
-class CenterDiagram(Value):
+class CenterDiagram(Frozen):
     """The covering arrows between Levi-center cocharacter spaces, over S
     properly inside Pi ordered by inclusion, in fundamental-coweight
     coordinates.
@@ -86,10 +86,7 @@ class CenterDiagram(Value):
     """
 
     __slots__ = _fields = ("datum", "arrows")
-
-    def __init__(self, datum: RootDatum, arrows: Arrows) -> None:
-        self.datum = datum
-        self.arrows = arrows
+    __hash__ = None
 
 
 def build_center_diagram(d: RootDatum) -> CenterDiagram:
@@ -170,7 +167,7 @@ def _composes(v2, v3, s3: tuple[int, ...], a: int) -> bool:
     return {k: v for k, v in total.items() if v} == direct
 
 
-class CechRow(Value):
+class CechRow(Frozen):
     """One exterior degree w of the Cech complex.
 
     `dims[p]` is the total dimension of term_p (a direct sum over the index
@@ -179,21 +176,14 @@ class CechRow(Value):
     """
 
     __slots__ = _fields = ("w", "dims", "diffs")
-
-    def __init__(self, w: int, dims: list[int], diffs: dict[int, RatMatrix]) -> None:
-        self.w = w
-        self.dims = dims
-        self.diffs = diffs
+    __hash__ = None
 
 
-class CechComplex(Value):
+class CechComplex(Frozen):
     """Rows of chain complexes indexed by exterior degree w = 0..n."""
 
     __slots__ = _fields = ("n", "rows")
-
-    def __init__(self, n: int, rows: list[CechRow]) -> None:
-        self.n = n
-        self.rows = rows
+    __hash__ = None
 
 
 def build_cech_complex(diagram: CenterDiagram) -> CechComplex:

@@ -178,11 +178,6 @@ class CenterData(Frozen):
 
     __slots__ = _fields = ("pi0", "cochar_basis", "dim")
 
-    def __init__(self, pi0: InvariantFactors, cochar_basis: IntMatrix, dim: int) -> None:
-        setfield(self, "pi0", pi0)
-        setfield(self, "cochar_basis", cochar_basis)
-        setfield(self, "dim", dim)
-
 
 def _normalize_levi(d: RootDatum, levi: Iterable[int]) -> tuple[int, ...]:
     """Sorted tuple of a Levi set inside 1..n; private forms take only this."""
@@ -292,10 +287,6 @@ class QuotientSupports(Frozen):
     """
 
     __slots__ = _fields = ("sizes", "witness")
-
-    def __init__(self, sizes: tuple[int, ...], witness: tuple[int, ...] | None) -> None:
-        setfield(self, "sizes", sizes)
-        setfield(self, "witness", witness)
 
 
 def _class_supports(d: RootDatum) -> list[int]:

@@ -24,13 +24,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser(names):
-    """The parser with a subcommand for each of `names`; each subcommand's
-    parser is the same whichever others are built beside it."""
+def _build_parser():
+    """The parser with a subcommand for every command of `cli.COMMANDS`."""
     # no option prefixes: "--form" is not "--format", whatever options exist
     parser = _Parser(prog="uctop", description=cli.__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in names:
+    for name in cli.COMMANDS:
         p = sub.add_parser(name, help=cli.COMMANDS[name][1], allow_abbrev=False)
         p.add_argument("spec", help="group spec, e.g. A2:adjoint or A1xA2:sc")
         for option, keywords in cli._OPTIONS.items():

@@ -39,46 +39,48 @@ def _row() -> CechRow:
     return build_cech_complex(build_center_diagram(_datum())).rows[1]
 
 
-# class -> (a factory building a fresh value, its fields in order, frozen)
+# class -> (a factory building a fresh value, its fields in order)
 VALUES = {
-    IntMatrix: (lambda: IntMatrix(2, 2, (1, 2, 3, 4)), ("rows", "cols", "entries"), True),
+    IntMatrix: (lambda: IntMatrix(2, 2, (1, 2, 3, 4)), ("rows", "cols", "entries")),
     RatMatrix: (
         lambda: RatMatrix.from_rows([[Fraction(1, 2), 0], [0, 3]]),
         ("rows", "cols", "num", "den"),
-        True,
     ),
-    InvariantFactors: (lambda: InvariantFactors((2, 4)), ("factors",), True),
-    CartanType: (lambda: CartanType((("A", 1), ("G", 2))), ("factors",), True),
-    RootDatum: (_datum, ("cartan_type", "char_lattice"), True),
-    CenterData: (lambda: center_of_levi(_datum(), (1,)), ("pi0", "cochar_basis", "dim"), True),
+    InvariantFactors: (lambda: InvariantFactors((2, 4)), ("factors",)),
+    CartanType: (lambda: CartanType((("A", 1), ("G", 2))), ("factors",)),
+    RootDatum: (_datum, ("cartan_type", "char_lattice")),
+    CenterData: (lambda: center_of_levi(_datum(), (1,)), ("pi0", "cochar_basis", "dim")),
     QuotientSupports: (
         lambda: quotient_supports(build_datum(CartanType((("A", 3),)), "sc")),
         ("sizes", "witness"),
-        True,
     ),
-    QPolynomial: (lambda: QPolynomial((1, 0, 2), "uv"), ("coeffs", "variable"), True),
-    BettiTable: (lambda: BettiTable((1, 0, 1)), ("betti",), True),
-    CenterDiagram: (lambda: build_center_diagram(_datum()), ("datum", "arrows"), False),
-    CechRow: (_row, ("w", "dims", "diffs"), False),
+    QPolynomial: (lambda: QPolynomial((1, 0, 2), "uv"), ("coeffs", "variable")),
+    BettiTable: (lambda: BettiTable((1, 0, 1)), ("betti",)),
+    CenterDiagram: (lambda: build_center_diagram(_datum()), ("datum", "arrows")),
+    CechRow: (_row, ("w", "dims", "diffs")),
     CechComplex: (
         lambda: build_cech_complex(build_center_diagram(_datum())),
         ("n", "rows"),
-        False,
     ),
     AssemblyReport: (
         lambda: universal_centralizer_homology(_datum()),
         ("betti", "cells_attached", "boundary_rank", "intersection_number", "purity_match"),
-        True,
     ),
-    GroupSpec: (lambda: parse_spec("A1xA2:sc"), ("raw", "cartan_type", "isogeny"), True),
+    GroupSpec: (lambda: parse_spec("A1xA2:sc"), ("cartan_type", "isogeny")),
 }
 
 PRIVATE = {RootDatum: "_memo", GroupSpec: "_datum"}
 
+# values holding dicts or lists
+UNHASHABLE = {RatMatrix, CenterDiagram, CechRow, CechComplex}
+
+# the records that take the inherited constructor
+FIELD_ONLY = [CenterData, QuotientSupports, AssemblyReport, CenterDiagram, CechRow, CechComplex]
+
 
 @pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
 def test_value_semantics(cls):
-    factory, fields, frozen = VALUES[cls]
+    factory, fields = VALUES[cls]
     a, b = factory(), factory()
     assert type(a) is cls and a is not b
     assert a == b and not a != b
@@ -88,18 +90,36 @@ def test_value_semantics(cls):
     # repr is Name(field=value, ...) over the public fields, in order
     body = ", ".join(f"{f}={getattr(a, f)!r}" for f in fields)
     assert repr(a) == f"{cls.__name__}({body})"
-    if frozen and cls is not RatMatrix:
-        assert hash(a) == hash(b)
-    else:
+    if cls in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(a)
-    if frozen:
-        for name in fields + ((PRIVATE[cls],) if cls in PRIVATE else ()):
-            with pytest.raises(AttributeError):
-                setattr(a, name, getattr(a, name))
-            with pytest.raises(AttributeError):
-                delattr(a, name)
-        assert a == b
+    else:
+        assert hash(a) == hash(b)
+    for name in fields + ((PRIVATE[cls],) if cls in PRIVATE else ()):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+@pytest.mark.parametrize("cls", FIELD_ONLY, ids=lambda c: c.__name__)
+def test_field_only_constructor_takes_each_field_once(cls):
+    factory, fields = VALUES[cls]
+    a = factory()
+    values = [getattr(a, f) for f in fields]
+    by_name = dict(zip(fields, values))
+    assert "__init__" not in vars(cls)
+    assert cls(*values) == cls(values[0], **dict(zip(fields[1:], values[1:]))) == a
+    for args, kwargs in (
+        (values[:-1], {}),  # missing
+        ((), {f: v for f, v in by_name.items() if f != fields[0]}),  # missing
+        (values + values[:1], {}),  # extra
+        (values, {fields[-1]: values[-1]}),  # repeated
+        ((), {**by_name, "extra": values[0]}),  # unknown
+    ):
+        with pytest.raises(TypeError, match="each of its fields"):
+            cls(*args, **kwargs)
 
 
 def test_private_caches_stay_out_of_equality_and_repr():
