@@ -40,21 +40,18 @@ class AssemblyReport(Frozen):
     )
 
 
-def intersection_number(d: RootDatum) -> int | Fraction:
+def intersection_number(d: RootDatum) -> int:
     """Transverse intersection count |W| / |Z| of a cell boundary with a
     generic fiber.
 
-    It is the int |W| // |Z| when |Z| divides |W|, as it does for every
-    Cartan type (|Z| divides |P/Q|, which divides |W| factor by factor), and
-    a `fractions.Fraction` otherwise. Both print and compare as the same
-    rational, so no command needs `fractions`.
+    It is the int |W| // |Z|, since |Z| = |X/Q| divides |P/Q| = det A and
+    det A divides |W| factor by factor; a |Z| that does not divide |W|
+    raises UctopError.
     """
     w, z = weyl_order(d.cartan_type), center_order(d)
-    if w % z == 0:
-        return w // z
-    from fractions import Fraction
-
-    return Fraction(w, z)
+    if w % z:
+        raise UctopError(f"center order {z} does not divide the Weyl group order {w}")
+    return w // z
 
 
 def universal_centralizer_homology(d: RootDatum) -> AssemblyReport:
@@ -80,7 +77,6 @@ def _attach_handles(d: RootDatum, boundary: BettiTable) -> AssemblyReport:
     number = intersection_number(d)
     if number <= 0:
         raise UctopError("intersection certificate must be positive")
-    boundary_rank = 1
     betti = [0] * (2 * n + 1)
     betti[0] = 1
     betti[2 * n] = z - 1  # cells minus the one killing the sphere class
@@ -90,7 +86,7 @@ def _attach_handles(d: RootDatum, boundary: BettiTable) -> AssemblyReport:
     return AssemblyReport(
         betti=table,
         cells_attached=z,
-        boundary_rank=boundary_rank,
+        boundary_rank=1,
         intersection_number=number,
         purity_match=purity_match,
     )

@@ -184,7 +184,8 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     # refused data build no covering arrow
     witness = proper_pi0_witness(d)
     refused = f"refused at S = {format_levi(witness)}" if witness else ""
-    complex_ = dd_error = forward = betti_error = closed = closed_error = report = None
+    complex_ = dd_error = forward = betti_error = closed = closed_error = None
+    report = assembly_error = None
     if not refused and not needs_diagram and chain_error is None:
         diagram = homology.build_center_diagram(d)
         # build_cech_complex raises unless d.d = 0 on every row
@@ -197,8 +198,13 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         # form, certified arrow by arrow; a failed certificate fails the
         # sphere item below
         closed, closed_error = _attempt(UctopError, boundary.boundary_homology, d)
-        # a boundary that is not the odd sphere fails its item below
-        report, _ = _attempt(UctopError, assembly._attach_handles, d, forward)
+        report, assembly_error = _attempt(UctopError, assembly._attach_handles, d, forward)
+        # the assembly refuses a boundary that is not the odd sphere, which
+        # fails the sphere item below (forward != closed): that item is then
+        # the one FAIL line of the assembly. Any other guard it trips fails
+        # the certificate item
+        if forward != closed:
+            assembly_error = None
     needs_complex = refused or ("needs the Cech complex" if complex_ is None else "")
     needs_betti = needs_complex or ("needs the boundary betti table" if forward is None else "")
     needs_assembly = needs_complex or ("needs the assembly" if report is None else "")
@@ -245,8 +251,10 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     )
     item(
         "intersection certificate is a positive integer",
-        lambda: report.intersection_number > 0 and report.intersection_number.denominator == 1,
-        needs_assembly,
+        lambda: _outcome(assembly_error)
+        if report is None
+        else report.intersection_number > 0 and report.intersection_number.denominator == 1,
+        "" if assembly_error else needs_assembly,
     )
     if witness is None:
         item("refusal contract: no witness, assembly succeeded", lambda: True, needs_assembly)

@@ -121,8 +121,6 @@ def _coweight_columns(d: RootDatum, sp: tuple[int, ...]) -> tuple[int, dict[int,
     it is the least common denominator of V_S'.
     """
     parts = [_block_columns(d, c) for c in _components(_cartan_rows(d), sp)]
-    if len(parts) == 1:
-        return parts[0]
     den = math.lcm(*(den_c for den_c, _ in parts))
     merged = {}
     for den_c, columns in parts:
@@ -165,7 +163,6 @@ def _block_columns(d: RootDatum, c: tuple[int, ...]) -> tuple[int, dict[int, dic
     return den, columns
 
 
-@memoized
 def _inverse_cartan(d: RootDatum) -> list[list[int]]:
     """The rows of N = den . A^(-1), for some den != 0, checked by A . N == den . I."""
     a = cartan_matrix(d.cartan_type)

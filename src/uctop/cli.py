@@ -162,19 +162,20 @@ def _parse_isogeny_part(compact: str, pos: int, n: int) -> str | IntMatrix:
 # reads no Levi center, and loads no Smith form.
 
 
+def _fields(sections: dict) -> list[str]:
+    """One table line per JSON section, `key: value`: underscores read as
+    spaces and a flag as true or false, as the JSON writes it."""
+    return [f"{key.replace('_', ' ')}: {str(v).lower() if isinstance(v, bool) else v}"
+            for key, v in sections.items()]
+
+
 def _cmd_info(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
     sections = {
         "rank": d.rank,
         "center_order": center_order(d),
         "weyl_order": weyl_order(d.cartan_type),
     }
-    lines = [
-        f"group: {spec.canonical}",
-        f"rank: {sections['rank']}",
-        f"center order: {sections['center_order']}",
-        f"weyl order: {sections['weyl_order']}",
-    ]
-    return sections, lines
+    return sections, [f"group: {spec.canonical}", *_fields(sections)]
 
 
 def _cmd_pi0(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
@@ -229,8 +230,8 @@ def _cmd_cgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
     witness_gate(d)  # a refused datum loads no homology
     from .boundary import boundary_homology
 
-    betti = list(boundary_homology(d).betti)
-    return {"betti": betti}, [f"betti: {betti}"]
+    sections = {"betti": list(boundary_homology(d).betti)}
+    return sections, _fields(sections)
 
 
 def _cmd_jgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
@@ -247,14 +248,7 @@ def _cmd_jgbetti(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
         "intersection_number": str(report.intersection_number),
         "purity_match": report.purity_match,
     }
-    lines = [
-        f"betti: {sections['betti']}",
-        f"cells attached: {report.cells_attached}",
-        f"boundary rank: {report.boundary_rank}",
-        f"intersection number: {report.intersection_number}",
-        f"purity match: {str(report.purity_match).lower()}",
-    ]
-    return sections, lines
+    return sections, _fields(sections)
 
 
 def _cmd_check(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:

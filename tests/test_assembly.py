@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from uctop import assembly
 from uctop.assembly import intersection_number, universal_centralizer_homology
 from uctop.counting import e_polynomial, poincare_from_purity
-from uctop.errors import NontrivialPi0
+from uctop.errors import NontrivialPi0, UctopError
 from uctop.levi import proper_pi0_witness
 from uctop.matrices import IntMatrix
 from uctop.rootdata import CartanType, build_datum, center_order
@@ -151,3 +152,14 @@ def test_intersection_number_is_positive_integer_on_matrix():
             number = intersection_number(d)
             assert number > 0
             assert number.denominator == 1, (str(t), iso)
+            assert type(number) is int, (str(t), iso)
+
+
+def test_center_order_that_does_not_divide_the_weyl_order_is_an_error(monkeypatch):
+    # |Z| divides |W| on every root datum, so only a rigged |Z| reaches the guard
+    monkeypatch.setattr(assembly, "center_order", lambda d: 5)
+    d = build_datum(ct(("A", 3)), "adjoint")
+    with pytest.raises(UctopError, match="^center order 5 does not divide the Weyl group order 24$"):
+        intersection_number(d)
+    with pytest.raises(UctopError, match="center order 5 does not divide"):
+        universal_centralizer_homology(d)

@@ -391,10 +391,12 @@ def test_check_failure_exits_1(capsys, monkeypatch):
         ("_cleared_ranks", "boundary homology is the odd sphere"),
         ("_coweight_columns", "projection functoriality over chains"),
         ("invariant_form", "projection functoriality over chains"),
+        ("intersection_number", "intersection certificate is a positive integer"),
+        ("center_order", "intersection certificate is a positive integer"),
     ],
 )
 def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
-    from uctop import boundary, homology
+    from uctop import assembly, boundary, homology
 
     spec = "A3:adjoint"
     # guards of the Cech build only: jgbetti answers from the certified
@@ -479,6 +481,20 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
         error = "Gram matrix times the inverse Cartan matrix must be diagonal"
         failed = f"FAIL {item} ({error})"
         reasons = ["needs the Cech complex"] * 10
+    elif guard == "intersection_number":
+        # a certificate of 0 trips the assembly's positivity guard past a
+        # boundary that is the odd sphere, so the certificate item fails
+        monkeypatch.setattr(assembly, guard, lambda d: 0)
+        error = "intersection certificate must be positive"
+        failed = f"FAIL {item} ({error})"
+        reasons = ["needs the assembly"] * 4
+    elif guard == "center_order":
+        # an assembly |Z| of 5, which does not divide |W| = 24, trips the
+        # divisibility guard of intersection_number
+        monkeypatch.setattr(assembly, guard, lambda d: 5)
+        error = "center order 5 does not divide the Weyl group order 24"
+        failed = f"FAIL {item} ({error})"
+        reasons = ["needs the assembly"] * 4
     else:
         def broken(*args):
             raise FunctorialityViolation(f"rigged {guard}")
