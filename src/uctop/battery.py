@@ -179,9 +179,10 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         lambda: _check_substitution(epoly.coeffs, poincare_from_purity(d).coeffs, n),
     )
 
-    # stages 3 and 4, the Cech complex and the assembly: run only when no
-    # proper Levi center is disconnected and the diagram is functorial, so
-    # refused data build no covering arrow
+    # stages 3 and 4, the Cech complex and the assembly: run only when X/Q
+    # finds no disconnected proper Levi center and the diagram is functorial,
+    # so refused data build no covering arrow; the refusal-contract item
+    # compares that X/Q gate with the stage-0 Smith forms at every proper S
     witness = proper_pi0_witness(d)
     refused = f"refused at S = {format_levi(witness)}" if witness else ""
     complex_ = dd_error = forward = betti_error = closed = closed_error = None
@@ -257,7 +258,12 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         "" if assembly_error else needs_assembly,
     )
     if witness is None:
-        item("refusal contract: no witness, assembly succeeded", lambda: True, needs_assembly)
+        # the gate's second route: no proper Smith form finds a disconnected center
+        def connected():
+            bad = [s for s, c in centers.items() if len(s) < n and not c.pi0.is_trivial()]
+            return not bad or (False, f"S = {format_levi(bad[0])} has nontrivial pi0")
+
+        item("refusal contract: no witness, assembly succeeded", connected, needs_assembly)
     else:
         # any other guard the assembly trips fails this item
         _, refusal = _attempt(UctopError, assembly.universal_centralizer_homology, d)

@@ -36,7 +36,9 @@ projections compose, the certificate also makes the diagram functorial and
 every arrow surjective. The full Cech build, its d.d = 0 check and its
 cleared ranks stay in `uctop.homology`, which `uctop check` runs as a second
 route to the same table. This module reads neither it nor the sparse
-rational matrices, so `cgbetti` and `jgbetti` compile neither.
+rational matrices, so `cgbetti` and `jgbetti` compile neither. The premise
+that every proper Levi center is connected is read from X/Q alone, so an
+admissible datum runs no Levi Smith form.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from __future__ import annotations
 import math
 
 from ._value import Frozen, setfield
-from .errors import FunctorialityViolation, UctopError, format_levi
+from .errors import FunctorialityViolation, UctopError
 from .matrices import IntMatrix
-from .levi import all_levi_subsets, center_of_levi, invariant_form, witness_gate
+from .levi import all_levi_subsets, invariant_form, witness_gate
 from .rootdata import RootDatum, cartan_matrix, memoized
 
 __all__ = ["BettiTable", "boundary_homology"]
@@ -207,25 +209,17 @@ def boundary_homology(d: RootDatum) -> BettiTable:
 
     Requires every proper Levi center to be connected (trivial pi0); raises
     NontrivialPi0 naming a witness subset otherwise, because the stalk
-    identification used by this computation fails there.
-
-    The witness comes from X/Q and the component groups from Levi SNFs, and
-    the two routes are compared: at the witness on refusal (`witness_gate`,
-    which the CLI calls before it loads this module), and at every proper S
-    otherwise. A disagreement raises UctopError. Then `_check_form`
+    identification used by this computation fails there. The gate reads X/Q
+    (`witness_gate`, which the CLI calls before it loads this module) and
+    runs a Levi SNF only at a witness, for the refusal's factors; `uctop
+    check` compares X/Q with the SNFs at every proper S. Then `_check_form`
     certifies the invariant form and `_check_naturality` every covering
     arrow, in integers; a failure raises (FunctorialityViolation for an
     arrow), so no sphere is reported that was not certified. The Cech build
-    in `uctop.homology` is the second route to the same table, which
-    `uctop check` compares with this one.
+    in `uctop.homology` is the second route to the same table, which `uctop
+    check` compares with this one.
     """
     witness_gate(d)
-    for s in all_levi_subsets(d.rank, proper=True):
-        if not center_of_levi(d, s).pi0.is_trivial():
-            raise UctopError(
-                f"X/Q finds no witness, but the Levi center at S = {format_levi(s)} "
-                "has nontrivial pi0"
-            )
     _check_form(d)
     _check_naturality(d)
     return BettiTable.sphere(2 * d.rank - 1)

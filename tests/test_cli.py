@@ -32,8 +32,10 @@ def run_cli(capsys, *argv):
 
 
 def golden_out(key: str) -> str:
-    """The stdout that bench/data/golden.json records for the command line `key`."""
-    return json.loads((ROOT / "bench" / "data" / "golden.json").read_text())[key]["out"]
+    """The stdout that bench/data/golden.json records for the command line
+    `key`, or else tests/data/cli_pins.json."""
+    golden = json.loads((ROOT / "bench" / "data" / "golden.json").read_text())
+    return (golden[key] if key in golden else _PINS[key])["out"]
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +401,11 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
     from uctop import assembly, boundary, homology
 
     spec = "A3:adjoint"
-    # guards of the Cech build only: jgbetti answers from the certified
-    # closed form and never reaches them, and `check` fails their item
-    cech_only = guard in {"_check_functoriality", "_check_square_zero", "_betti_from_complex",
-                          "_cleared_ranks"}
+    # guards that jgbetti never reaches, and `check` fails their item: the Cech
+    # build's, since jgbetti answers from the certified closed form, and the
+    # Levi Smith form's, since an admissible request reads its gate from X/Q
+    unreached = guard in {"_check_functoriality", "_check_square_zero", "_betti_from_complex",
+                          "_cleared_ranks", "snf"}
     failures = []
     if guard == "_block_symmetrizer":
         # D = diag(1, 2) makes D.A asymmetric on A2, which invariant_form's
@@ -421,7 +424,8 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
         reasons = ["needs the assembly"] * 5
     elif guard == "snf":
         # a kernel one column short trips center_of_levi's guard; pi0 reads
-        # the Levi centers directly, and the check items that read them skip
+        # the Levi centers directly, and the check items that read them skip,
+        # while jgbetti, which runs no Smith form, still answers
         real_snf = levi.snf
 
         def short(m):
@@ -503,7 +507,7 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
         error = f"rigged {guard}"
         failed = f"FAIL {item} ({error})"
         reasons = ["needs the Cech complex"] * (10 if guard == "_check_functoriality" else 9)
-    if cech_only:
+    if unreached:
         assert run_cli(capsys, "jgbetti", spec) == (0, golden_out(f"jgbetti {spec}"), "")
     else:
         assert run_cli(capsys, "jgbetti", spec) == (1, "", f"error: {error}\n")
@@ -515,6 +519,27 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
     assert len(skipped) == len(reasons)
     assert all(x.endswith(f" ({reason})") for x, reason in zip(skipped, reasons))
     assert skipped[-1].startswith("SKIP refusal contract: no witness")
+
+
+def test_homology_requests_run_no_smith_form(capsys, monkeypatch):
+    # an admissible request reads its gate from X/Q alone, so a Smith form
+    # that raises changes none of its bytes; a refusal runs one, at the
+    # witness, for the factors it prints
+    real_snf, runs = levi.snf, []
+
+    def raising(m):
+        raise AssertionError("snf ran")
+
+    monkeypatch.setattr(levi, "snf", raising)
+    for spec in ("E6:adjoint", "A6:sc", "G2xB3:adjoint"):
+        for command in ("cgbetti", "jgbetti"):
+            key = f"{command} {spec}"
+            assert run_cli(capsys, command, spec) == (0, golden_out(key), ""), key
+    monkeypatch.setattr(levi, "snf", lambda m: runs.append(m) or real_snf(m))
+    refusal = ("refused: component group of the Levi center at S = {1,3} is nontrivial "
+               "(Z/2); this case is refused\n")
+    assert run_cli(capsys, "cgbetti", "A3:sc") == (2, "", refusal)
+    assert len(runs) == 1
 
 
 def test_lattice_datum_is_built_once_per_call(capsys, monkeypatch):

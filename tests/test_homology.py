@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from uctop import boundary, homology, levi
+from uctop import battery, boundary, homology, levi
 from uctop.cli import parse_spec
 from uctop.errors import FunctorialityViolation, NontrivialPi0, UctopError
 from uctop.homology import (
@@ -470,14 +470,18 @@ def test_boundary_homology_compares_the_witness_with_the_levi_snfs(monkeypatch):
     assert str(err.value) == (
         "X/Q names S = {1} as a witness, but its Levi center has trivial pi0"
     )
-    # X/Q finds no witness where an SNF finds a disconnected proper center
+    # X/Q finds no witness where an SNF finds a disconnected proper center:
+    # the request answers from X/Q alone, and `check` compares the two
+    # routes at every proper S, so its refusal-contract item fails
     monkeypatch.setattr(levi, "proper_pi0_witness", lambda d: None)
-    with pytest.raises(UctopError) as err:
-        boundary_homology(build_datum(ct(("A", 3)), "sc"))
-    assert type(err.value) is UctopError
-    assert str(err.value) == (
-        "X/Q finds no witness, but the Levi center at S = {1,3} has nontrivial pi0"
-    )
+    monkeypatch.setattr(battery, "proper_pi0_witness", lambda d: None)
+    d = build_datum(ct(("A", 3)), "sc")
+    assert boundary_homology(d) == BettiTable.sphere(5)
+    failed = [(name, detail) for name, result, detail in battery.run_checks(d) if result == "fail"]
+    assert failed == [
+        ("assembled betti matches the purity prediction", ""),
+        ("refusal contract: no witness, assembly succeeded", "S = {1,3} has nontrivial pi0"),
+    ]
 
 
 def test_row_order_independence():

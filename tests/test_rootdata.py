@@ -507,10 +507,10 @@ def test_center_of_levi_is_cached_on_its_datum(monkeypatch):
         assert f(twin) == f(d) and f(twin) is not f(d), f.__name__
 
 
-def test_each_levi_set_is_normalized_once(monkeypatch):
+def test_each_levi_set_is_normalized_once(monkeypatch, capsys):
     # the public entries normalize a Levi set; the private forms behind them
     # (the cached center, the projector, the diagram's arrows) take it as is
-    from uctop.homology import boundary_homology
+    from uctop.cli import main
 
     seen = []
     original = levi._normalize_levi
@@ -523,8 +523,9 @@ def test_each_levi_set_is_normalized_once(monkeypatch):
     center_of_levi(build_datum(ct(("B", 3)), "sc"), (3, 1))
     assert seen == [(3, 1)]
     seen.clear()
-    boundary_homology(parse_spec("D6:adjoint").datum())
-    assert 0 < len(seen) <= 2**6 - 1
+    # pi0 reads the center of every Levi set
+    assert main(["pi0", "D6:adjoint"]) == 0 and capsys.readouterr().out
+    assert len(seen) == len(set(seen)) == 2**6
 
 
 @pytest.mark.parametrize(
