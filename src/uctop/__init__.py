@@ -51,6 +51,7 @@ _LAZY = {
         "all_levi_subsets",
         "center_of_levi",
         "invariant_form",
+        "levi_pi0",
         "levi_root_matrix",
         "proper_pi0_witness",
         "snf",

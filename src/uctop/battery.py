@@ -68,14 +68,17 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         if centers is None
         else all(c.dim == n - len(s) for s, c in centers.items()),
     )
-    item(
-        "invariant factors form divisibility chains",
-        lambda: all(
-            all(b % a == 0 for a, b in zip(c.pi0.factors, c.pi0.factors[1:]))
-            for c in centers.values()
-        ),
-        needs_centers,
-    )
+    def chains():
+        # each Smith form against X/Q, the route that every request reads
+        for s, c in centers.items():
+            if any(b % a for a, b in zip(c.pi0.factors, c.pi0.factors[1:])):
+                return False
+            if (quotient := levi.levi_pi0(d, s)) != c.pi0:
+                factors = ", ".join(map(str, quotient.factors))
+                return False, f"S = {format_levi(s)}: X/Q gives ({factors})"
+        return True
+
+    item("invariant factors form divisibility chains", chains, needs_centers)
     item(
         "cocharacter bases annihilate their Levi roots",
         lambda: all(
@@ -182,7 +185,8 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
     # stages 3 and 4, the Cech complex and the assembly: run only when X/Q
     # finds no disconnected proper Levi center and the diagram is functorial,
     # so refused data build no covering arrow; the refusal-contract item
-    # compares that X/Q gate with the stage-0 Smith forms at every proper S
+    # compares that X/Q gate with the stage-0 Smith forms at every proper S,
+    # as the divisibility item compares the groups that X/Q gives
     witness = proper_pi0_witness(d)
     refused = f"refused at S = {format_levi(witness)}" if witness else ""
     complex_ = dd_error = forward = betti_error = closed = closed_error = None
@@ -258,7 +262,7 @@ def run_checks(d: RootDatum) -> list[tuple[str, str, str]]:
         "" if assembly_error else needs_assembly,
     )
     if witness is None:
-        # the gate's second route: no proper Smith form finds a disconnected center
+        # the gate's second route, run here only: no proper Smith form finds a disconnected center
         def connected():
             bad = [s for s, c in centers.items() if len(s) < n and not c.pi0.is_trivial()]
             return not bad or (False, f"S = {format_levi(bad[0])} has nontrivial pi0")

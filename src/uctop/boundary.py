@@ -37,8 +37,8 @@ every arrow surjective. The full Cech build, its d.d = 0 check and its
 cleared ranks stay in `uctop.homology`, which `uctop check` runs as a second
 route to the same table. This module reads neither it nor the sparse
 rational matrices, so `cgbetti` and `jgbetti` compile neither. The premise
-that every proper Levi center is connected is read from X/Q alone, so an
-admissible datum runs no Levi Smith form.
+that every proper Levi center is connected is read from X/Q alone, so no
+datum, admissible or refused, runs a Levi Smith form.
 """
 
 from __future__ import annotations
@@ -209,10 +209,10 @@ def boundary_homology(d: RootDatum) -> BettiTable:
 
     Requires every proper Levi center to be connected (trivial pi0); raises
     NontrivialPi0 naming a witness subset otherwise, because the stalk
-    identification used by this computation fails there. The gate reads X/Q
-    (`witness_gate`, which the CLI calls before it loads this module) and
-    runs a Levi SNF only at a witness, for the refusal's factors; `uctop
-    check` compares X/Q with the SNFs at every proper S. Then `_check_form`
+    identification used by this computation fails there. The gate reads the
+    witness and its factors from X/Q and runs no Smith form (`witness_gate`,
+    which the CLI calls before it loads this module); `uctop check` compares
+    X/Q with the Levi SNFs at every S. Then `_check_form`
     certifies the invariant form and `_check_naturality` every covering
     arrow, in integers; a failure raises (FunctorialityViolation for an
     arrow), so no sphere is reported that was not certified. The Cech build

@@ -179,7 +179,7 @@ def _cmd_info(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
 
 
 def _cmd_pi0(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
-    from .levi import all_levi_subsets, center_of_levi
+    from .levi import all_levi_subsets, levi_pi0
 
     if args.levi is not None:
         subsets = [tuple(args.levi)]
@@ -187,10 +187,8 @@ def _cmd_pi0(spec: GroupSpec, d: RootDatum, args) -> tuple[dict, list[str]]:
         subsets = all_levi_subsets(d.rank)
     table = []
     for s in subsets:
-        c = center_of_levi(d, s)
-        table.append(
-            {"levi": list(s), "factors": list(c.pi0.factors), "order": c.pi0.order()}
-        )
+        pi0 = levi_pi0(d, s)
+        table.append({"levi": list(s), "factors": list(pi0.factors), "order": pi0.order()})
     lines = []
     for row in table:
         torsion = " x ".join(f"Z/{f}" for f in row["factors"]) or "trivial"

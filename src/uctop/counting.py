@@ -7,7 +7,7 @@ whose support lies in S, the sum collapses to one term per class:
 
     count(q)  =  sum over lambda in X/Q of  q^(2n - |supp lambda|),
 
-read from the support histogram of `quotient_supports`, with no Smith form
+read from the class supports of `_class_supports`, with no Smith form
 and no loop over the 2^n sets S. The E-polynomial is the same polynomial
 read in the variable uv, and under purity the Poincare polynomial is
 recovered by substituting u = v = -1/t and multiplying by t^(4n). Each of
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ._value import Frozen, setfield
 from .errors import NegativeCoefficient, NonPolynomialResult
-from .levi import quotient_supports
+from .levi import _class_supports
 from .rootdata import RootDatum, memoized
 
 __all__ = [
@@ -69,8 +69,8 @@ class QPolynomial(Frozen):
 @memoized
 def point_count_poly(d: RootDatum) -> QPolynomial:
     """Number of points over F_q as a polynomial in q (monic, degree 2n)."""
-    sizes = quotient_supports(d).sizes  # sizes[k] classes give q^(2n - k)
-    return QPolynomial((0,) * d.rank + sizes[::-1])
+    sizes = [mask.bit_count() for mask, _ in _class_supports(d)]  # k gives q^(2n - k)
+    return QPolynomial([0] * d.rank + [sizes.count(k) for k in range(d.rank, -1, -1)])
 
 
 @memoized

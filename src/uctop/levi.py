@@ -1,10 +1,12 @@
 """Levi centers, the invariant form and the refusal witness.
 
+`levi_pi0` reads the component group of Z(L_S) from X/Q (X the character
+lattice, Q the root lattice) with no Smith form, and so does the refusal
+witness (`witness_gate`); these are the routes every request takes.
 `center_of_levi` reads the component group and cocharacter lattice of
 Z(L_S) off the Smith normal form (`snf`) of the Levi roots in the
-char-lattice basis; `quotient_supports` reads the same groups from X/Q (X
-the character lattice, Q the root lattice) with no Smith form, and
-`witness_gate` compares the two routes at the refusal witness. The
+char-lattice basis: the second route, which `uctop check` compares with
+X/Q on every S, and the cocharacter bases of the Cech build. The
 invariant form on the cocharacter space is the symmetrized Cartan matrix
 D.A (minimal positive integer D per simple factor) in the simple-coroot
 basis; orthogonal projections are insensitive to the per-factor scaling.
@@ -18,7 +20,7 @@ import math
 from collections.abc import Iterable
 
 from ._value import Frozen, setfield
-from .errors import NontrivialPi0, UctopError, format_levi
+from .errors import NontrivialPi0, UctopError
 from .matrices import IntMatrix
 from .rootdata import (
     CartanType,
@@ -36,10 +38,9 @@ __all__ = [
     "center_of_levi",
     "invariant_form",
     "levi_root_matrix",
+    "levi_pi0",
     "proper_pi0_witness",
     "witness_gate",
-    "QuotientSupports",
-    "quotient_supports",
     "all_levi_subsets",
 ]
 
@@ -277,26 +278,18 @@ def all_levi_subsets(n: int, proper: bool = False) -> list[tuple[int, ...]]:
     return out
 
 
-class QuotientSupports(Frozen):
-    """Support sizes of the classes of X/Q.
-
-    The support of a class is the set of simple roots at which its
-    simple-root coordinates are not integers. `sizes[k]` counts the classes
-    whose support has k elements, and `witness` is the least nonempty proper
-    support by (size, lex), or None when there is none.
-    """
-
-    __slots__ = _fields = ("sizes", "witness")
-
-
-def _class_supports(d: RootDatum) -> list[int]:
-    """The support of every class of X/Q as a bitmask (bit i - 1 for alpha_i).
+@memoized
+def _class_supports(d: RootDatum) -> tuple[tuple[int, int], ...]:
+    """Every class of X/Q as a pair (support, order): the support as a
+    bitmask (bit i - 1 for alpha_i), the order that of the class in X/Q.
 
     `_inverse_roots` gives R^(-T) = N / den for R = `_roots_in_basis`.
     A character x (column, char-lattice basis) has simple-root coordinates
     N x / den, so x -> N x mod den has kernel exactly Q: X/Q is the subgroup
     of (Z/den)^n spanned by the columns of N mod den, and a class's support
-    is the set of its nonzero coordinates.
+    is the set of its nonzero coordinates. pi0(Z(L_S)) is the subgroup of
+    the classes whose support lies in S: the torsion of X / ZPhi_S maps
+    injectively (Q meets QPhi_S in ZPhi_S) onto them. |X/Q| <= 2^n.
     """
     n = d.rank
     num, den, _ = _inverse_roots(d)
@@ -313,28 +306,32 @@ def _class_supports(d: RootDatum) -> list[int]:
                 seen.add(x)
                 elements.append(x)
             step = tuple((a + b) % den for a, b in zip(step, g))
-    return [sum(1 << i for i, v in enumerate(x) if v) for x in elements]
+    return tuple((sum(1 << i for i, v in enumerate(x) if v), den // math.gcd(den, *x))
+                 for x in elements)
 
 
-@memoized
-def quotient_supports(d: RootDatum) -> QuotientSupports:
-    """Support-size histogram and least proper support of X/Q; no SNF.
+def levi_pi0(d: RootDatum, levi: Iterable[int]) -> InvariantFactors:
+    """Invariant factors of pi0(Z(L_S)) for S = `levi`, read from X/Q; no SNF.
 
-    |pi0(Z(L_S))| is the number of classes whose support lies in S, since
-    the torsion of X / ZPhi_S maps injectively into X/Q (Q meets QPhi_S in
-    ZPhi_S) onto exactly those classes. |X/Q| = |det R| <= 2^n.
+    The group is made of the classes whose support lies in S
+    (`_class_supports`), and a finite abelian group is fixed by its element
+    orders: for a prime p, the classes killed by p^j number
+    p^(r_1 + ... + r_j), where r_j counts the invariant factors that p^j
+    divides, so p^j divides the r_j largest ones.
     """
-    n = d.rank
-    full = (1 << n) - 1
-    sizes = [0] * (n + 1)
-    witness = None
-    for mask in _class_supports(d):
-        sizes[mask.bit_count()] += 1
-        if mask and mask != full:
-            s = tuple(i + 1 for i in range(n) if mask >> i & 1)
-            if witness is None or (len(s), s) < (len(witness), witness):
-                witness = s
-    return QuotientSupports(tuple(sizes), witness)
+    mask = sum(1 << (i - 1) for i in _normalize_levi(d, levi))
+    orders = [o for m, o in _class_supports(d) if m | mask == mask]
+    top = [1] * len(orders).bit_length()  # the invariant factors, largest first
+    rest, p = max(orders), 2  # an abelian group's exponent is its largest order
+    while rest > 1:
+        power, killed = 1, 1
+        while rest % p == 0:
+            rest, power = rest // p, power * p
+            step = sum(1 for o in orders if power % o == 0) // killed  # p^(r_j)
+            killed *= step
+            top = [f * p if step > p**i else f for i, f in enumerate(top)]
+        p += 1
+    return InvariantFactors(tuple(f for f in reversed(top) if f > 1))
 
 
 def proper_pi0_witness(d: RootDatum) -> tuple[int, ...] | None:
@@ -345,23 +342,20 @@ def proper_pi0_witness(d: RootDatum) -> tuple[int, ...] | None:
     contains the support T of a nonzero class, and then |S| >= |T|, with
     equality only for S = T.
     """
-    return quotient_supports(d).witness
+    n = d.rank
+    supports = [tuple(i + 1 for i in range(n) if m >> i & 1)
+                for m, _ in _class_supports(d) if 0 < m < (1 << n) - 1]
+    return min(supports, key=lambda s: (len(s), s), default=None)
 
 
 def witness_gate(d: RootDatum) -> None:
     """Raise NontrivialPi0 when some proper Levi center is disconnected.
 
-    The witness comes from X/Q (`proper_pi0_witness`) and its component
-    group from its Levi SNF; UctopError is raised when the two routes
-    disagree there. It reads no homology, so a refused request never loads
-    that code.
+    The witness and its component group are both read from X/Q
+    (`proper_pi0_witness`, `levi_pi0`), so no request runs a Smith form
+    here; `uctop check` compares X/Q with the Levi SNFs at every S. It
+    reads no homology, so a refused request never loads that code.
     """
     witness = proper_pi0_witness(d)
     if witness is not None:
-        factors = center_of_levi(d, witness).pi0.factors
-        if not factors:
-            raise UctopError(
-                f"X/Q names S = {format_levi(witness)} as a witness, but its "
-                "Levi center has trivial pi0"
-            )
-        raise NontrivialPi0(witness, factors)
+        raise NontrivialPi0(witness, levi_pi0(d, witness).factors)

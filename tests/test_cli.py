@@ -403,7 +403,7 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
     spec = "A3:adjoint"
     # guards that jgbetti never reaches, and `check` fails their item: the Cech
     # build's, since jgbetti answers from the certified closed form, and the
-    # Levi Smith form's, since an admissible request reads its gate from X/Q
+    # Levi Smith form's, since every request reads its gate and pi0 from X/Q
     unreached = guard in {"_check_functoriality", "_check_square_zero", "_betti_from_complex",
                           "_cleared_ranks", "snf"}
     failures = []
@@ -423,9 +423,9 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
         failed = f"FAIL {item} (betti [1, 0, 1])"
         reasons = ["needs the assembly"] * 5
     elif guard == "snf":
-        # a kernel one column short trips center_of_levi's guard; pi0 reads
-        # the Levi centers directly, and the check items that read them skip,
-        # while jgbetti, which runs no Smith form, still answers
+        # a kernel one column short trips center_of_levi's guard, and the
+        # check items that read the Levi centers skip, while pi0 and jgbetti,
+        # which run no Smith form, still answer
         real_snf = levi.snf
 
         def short(m):
@@ -437,7 +437,7 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
         spec, error = "A2:adjoint", "simple roots must be linearly independent"
         failed = f"FAIL {item} ({error})"
         reasons = ["needs the Levi centers"] * 9 + ["needs the Cech complex"] * 10
-        assert run_cli(capsys, "pi0", spec) == (1, "", f"error: {error}\n")
+        assert run_cli(capsys, "pi0", spec) == (0, golden_out(f"pi0 {spec}"), "")
     elif guard == "disconnected_block":
         # the symmetrizer of a Dynkin block with no edges cannot be built
         real_symmetrizer = levi._block_symmetrizer
@@ -522,9 +522,9 @@ def test_broken_guard_is_reported_not_raised(capsys, monkeypatch, guard, item):
 
 
 def test_homology_requests_run_no_smith_form(capsys, monkeypatch):
-    # an admissible request reads its gate from X/Q alone, so a Smith form
-    # that raises changes none of its bytes; a refusal runs one, at the
-    # witness, for the factors it prints
+    # a request reads its gate from X/Q alone, so a Smith form that raises
+    # changes none of its bytes; a refusal reads the factors it prints from
+    # X/Q too, and runs none
     real_snf, runs = levi.snf, []
 
     def raising(m):
@@ -539,7 +539,27 @@ def test_homology_requests_run_no_smith_form(capsys, monkeypatch):
     refusal = ("refused: component group of the Levi center at S = {1,3} is nontrivial "
                "(Z/2); this case is refused\n")
     assert run_cli(capsys, "cgbetti", "A3:sc") == (2, "", refusal)
-    assert len(runs) == 1
+    assert runs == []
+
+
+def test_pi0_runs_no_smith_form(capsys, monkeypatch):
+    # pi0 reads every component group from X/Q, so a Smith form that raises
+    # changes none of its bytes, and the pinned A9 basis, on which the Levi
+    # Smith forms blow up, prints the bytes of A9:sc
+    def raising(m):
+        raise AssertionError("snf ran")
+
+    monkeypatch.setattr(levi, "snf", raising)
+    for key in ("pi0 A3:sc", "pi0 A3:sc --levi=1,3", "pi0 A2:lattice=[[1,1],[-1,2]] --format=json"):
+        want = _PINS[key]
+        assert run_cli(capsys, *key.split()) == (want["rc"], want["out"], want["err"]), key
+    catalogue = json.loads((ROOT / "bench" / "data" / "lattices.json").read_text())
+    (pinned,) = catalogue["pinned"]
+    golden = json.loads((ROOT / "bench" / "data" / "golden.json").read_text())
+    want = golden["pi0 A9:sc --max-rank=9"]
+    code, out, err = run_cli(capsys, "pi0", pinned["argv"][1], "--max-rank=9")
+    assert (code, err) == (want["rc"], "")
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
 
 
 def test_lattice_datum_is_built_once_per_call(capsys, monkeypatch):

@@ -264,10 +264,12 @@ def test_quotient_route_matches_levi_snf_route_in_random_bases(t):
             d = build_datum(t, IntMatrix.from_rows(basis))
             count, orders, witness = _levi_snf_reference(d)
             assert point_count_poly(d).coeffs == count, basis
-            supports = levi._class_supports(d)
+            classes = levi._class_supports(d)
             for s, order in orders.items():
                 mask = sum(1 << (i - 1) for i in s)
-                assert sum(1 for m in supports if m & ~mask == 0) == order, (basis, s)
+                assert sum(1 for m, _ in classes if m & ~mask == 0) == order, (basis, s)
+                # the whole group, not only its order: X/Q against the Smith form
+                assert levi.levi_pi0(d, s) == center_of_levi(d, s).pi0, (basis, s)
             assert proper_pi0_witness(d) == witness, basis
             z, smith, index = _center_routes(d)
             assert z == smith == index, basis

@@ -9,7 +9,7 @@ import pytest
 
 from uctop import battery, boundary, homology, levi
 from uctop.cli import parse_spec
-from uctop.errors import FunctorialityViolation, NontrivialPi0, UctopError
+from uctop.errors import FunctorialityViolation, NontrivialPi0
 from uctop.homology import (
     BettiTable,
     CechComplex,
@@ -24,7 +24,7 @@ from uctop.homology import (
     build_center_diagram,
     total_euler,
 )
-from uctop.levi import all_levi_subsets, center_of_levi, invariant_form
+from uctop.levi import InvariantFactors, all_levi_subsets, center_of_levi, invariant_form
 from uctop.matrices import IntMatrix
 from uctop.projections import compound, killing_projection
 from uctop.rational import RatMatrix, rank
@@ -460,16 +460,19 @@ def test_boundary_homology_refusals():
 
 
 def test_boundary_homology_compares_the_witness_with_the_levi_snfs(monkeypatch):
-    # X/Q names a witness whose SNF finds a connected center; the gate that
-    # boundary_homology (and the CLI, before it loads the homology) calls
-    # reads the witness in levi
-    monkeypatch.setattr(levi, "proper_pi0_witness", lambda d: (1,))
-    with pytest.raises(UctopError) as err:
-        boundary_homology(build_datum(ct(("A", 2)), "adjoint"))
-    assert type(err.value) is UctopError
-    assert str(err.value) == (
-        "X/Q names S = {1} as a witness, but its Levi center has trivial pi0"
+    # requests read every component group from X/Q, and `check` compares it
+    # with the stage-0 Smith form at every S: one X/Q group perturbed at one
+    # S, to a group of the same order, fails exactly the divisibility item
+    real = levi.levi_pi0
+    monkeypatch.setattr(
+        levi, "levi_pi0",
+        lambda d, s: InvariantFactors((4,)) if tuple(s) == (1, 3, 4) else real(d, s),
     )
+    d = build_datum(ct(("D", 4)), "sc")
+    assert center_of_levi(d, (1, 3, 4)).pi0.factors == (2, 2)
+    failed = [(name, detail) for name, result, detail in battery.run_checks(d) if result == "fail"]
+    assert failed == [("invariant factors form divisibility chains", "S = {1,3,4}: X/Q gives (4)")]
+    monkeypatch.setattr(levi, "levi_pi0", real)
     # X/Q finds no witness where an SNF finds a disconnected proper center:
     # the request answers from X/Q alone, and `check` compares the two
     # routes at every proper S, so its refusal-contract item fails

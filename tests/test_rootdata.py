@@ -523,7 +523,7 @@ def test_each_levi_set_is_normalized_once(monkeypatch, capsys):
     center_of_levi(build_datum(ct(("B", 3)), "sc"), (3, 1))
     assert seen == [(3, 1)]
     seen.clear()
-    # pi0 reads the center of every Levi set
+    # pi0 reads the component group of every Levi set
     assert main(["pi0", "D6:adjoint"]) == 0 and capsys.readouterr().out
     assert len(seen) == len(set(seen)) == 2**6
 

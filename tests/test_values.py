@@ -22,9 +22,7 @@ from uctop.homology import (
 from uctop.levi import (
     CenterData,
     InvariantFactors,
-    QuotientSupports,
     center_of_levi,
-    quotient_supports,
 )
 from uctop.matrices import IntMatrix
 from uctop.rational import RatMatrix
@@ -50,10 +48,6 @@ VALUES = {
     CartanType: (lambda: CartanType((("A", 1), ("G", 2))), ("factors",)),
     RootDatum: (_datum, ("cartan_type", "char_lattice")),
     CenterData: (lambda: center_of_levi(_datum(), (1,)), ("pi0", "cochar_basis", "dim")),
-    QuotientSupports: (
-        lambda: quotient_supports(build_datum(CartanType((("A", 3),)), "sc")),
-        ("sizes", "witness"),
-    ),
     QPolynomial: (lambda: QPolynomial((1, 0, 2), "uv"), ("coeffs", "variable")),
     BettiTable: (lambda: BettiTable((1, 0, 1)), ("betti",)),
     CenterDiagram: (lambda: build_center_diagram(_datum()), ("datum", "arrows")),
@@ -75,7 +69,7 @@ PRIVATE = {RootDatum: "_memo", GroupSpec: "_datum"}
 UNHASHABLE = {RatMatrix, CenterDiagram, CechRow, CechComplex}
 
 # the records that take the inherited constructor
-FIELD_ONLY = [CenterData, QuotientSupports, AssemblyReport, CenterDiagram, CechRow, CechComplex]
+FIELD_ONLY = [CenterData, AssemblyReport, CenterDiagram, CechRow, CechComplex]
 
 
 @pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
